@@ -278,7 +278,13 @@ class ParameterTriple:
 
     @classmethod
     def from_p(cls, p) -> "ParameterTriple":
-        """The reduced triple for ``p``: conjugate below 2, then solve for s, r."""
+        """The reduced triple for ``p``: conjugate below 2, then solve for s, r.
+
+        The identity ``(1 - s) r = s`` encoded in the triple is what
+        guarantees the ``mu^(1-s)`` diagonal is r-summable whenever ``mu^s``
+        is summable.  ``nuctrace.factorization.exponent_budget`` is this
+        same function.
+        """
         p2 = reduce_to_p_ge_2(p)
         s = s_from_p(p2)
         return cls(p2, s, r_from_s(s))

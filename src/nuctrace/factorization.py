@@ -31,9 +31,6 @@ from .exponents import (
     ParameterTriple,
     check_holder_chain,
     conjugate,
-    r_from_s,
-    reduce_to_p_ge_2,
-    s_from_p,
 )
 from .nuclear import NuclearRep, assemble
 from .seqspace import (
@@ -47,6 +44,7 @@ from .seqspace import (
     lp,
     lp_norm,
     operator_to_json,
+    row_norms,
 )
 
 __all__ = [
@@ -142,7 +140,7 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         )
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
-    triple = exponent_budget(p)
+    triple = ParameterTriple.from_p(p)
     if rep.order != triple.s:
         raise ValueError(
             f"representation order {rep.order} is off the curve value {triple.s}; "
@@ -194,14 +192,13 @@ def _check_pipeline(pipe: Pipeline, rep: NuclearRep) -> None:
 
 def _opnorm_lp_to_sup(op: DenseOperator) -> float:
     """Exact operator norm lp(p) -> sup-normed tag: max dual norm of the rows."""
-    dual = conjugate(op.domain.p)
-    return max(lp_norm(Vector(row, lp(dual, op.domain.dim))) for row in op.matrix)
+    dual = lp(conjugate(op.domain.p), op.domain.dim)
+    return float(row_norms(op.matrix, dual).max())
 
 
 def _opnorm_l1_to_lp(op: DenseOperator) -> float:
     """Exact operator norm lp(1) -> lp(p): max codomain norm of the columns."""
-    tag = op.codomain
-    return max(lp_norm(Vector(col, tag)) for col in op.matrix.T)
+    return float(row_norms(op.matrix.T, op.codomain).max())
 
 
 def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
@@ -253,15 +250,8 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     return certs
 
 
-def exponent_budget(p) -> ParameterTriple:
-    """Reduce ``p`` to its large conjugate and solve the curve for (s, r).
-
-    The identity ``(1 - s) r = s`` encoded in the triple is what guarantees
-    the ``mu^(1-s)`` diagonal is r-summable whenever ``mu^s`` is summable.
-    """
-    p2 = reduce_to_p_ge_2(p)
-    s = s_from_p(p2)
-    return ParameterTriple(p2, s, r_from_s(s))
+# the public name of the reduction, kept for the CLI, demos and callers
+exponent_budget = ParameterTriple.from_p
 
 
 def pipeline_to_json(pipe: Pipeline) -> dict:

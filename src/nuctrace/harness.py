@@ -40,7 +40,7 @@ from .nuclear import (
     nuclear_trace,
     rewrite_equivalent,
 )
-from .seqspace import MAX_DIM, conjugate_tag, lp, lp_norm, Vector
+from .seqspace import MAX_DIM, conjugate_tag, lp, row_norms
 from .spectra import (
     RESIDUAL_BUDGET,
     ladder_csv,
@@ -222,28 +222,27 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     rng = _generator(config.seed, n)
 
     if config.family == "diagonal":
-        eye = np.eye(n)
-        terms = [(mu[k], eye[k], eye[k]) for k in range(k_terms)]
-        return NuclearRep(ambient, terms)
+        eye = np.eye(n)[:k_terms]
+        return NuclearRep.from_arrays(ambient, mu, eye, eye)
 
-    def unit(tag):
-        x = rng.standard_normal(n)
-        return x / lp_norm(Vector(x, tag))
+    def unit_rows(draws, tag):
+        return draws / row_norms(draws, tag)[:, None]
 
     if config.family == "random_unit":
-        terms = [(mu[k], unit(conj), unit(ambient)) for k in range(k_terms)]
-        return NuclearRep(ambient, terms)
+        # drawn in term order f_0, v_0, f_1, v_1, ...
+        draws = rng.standard_normal((k_terms, 2, n))
+        return NuclearRep.from_arrays(
+            ambient, mu, unit_rows(draws[:, 0], conj), unit_rows(draws[:, 1], ambient)
+        )
 
-    # shared_functional_rotations
-    terms = []
-    k = 0
-    while k < k_terms:
-        f = unit(conj)
-        terms.append((mu[k], f, unit(ambient)))
-        if k + 1 < k_terms:
-            terms.append((mu[k + 1], f, unit(ambient)))
-        k += 2
-    rep = NuclearRep(ambient, terms)
+    # shared_functional_rotations: term pairs (2m, 2m + 1) share a functional,
+    # drawn in the order f, v_2m, v_2m+1 per pair (f, v for a last odd term)
+    terms = np.arange(k_terms)
+    draws = rng.standard_normal((k_terms + (k_terms + 1) // 2, n))
+    fun = unit_rows(draws[3 * (terms // 2)], conj)
+    vec = unit_rows(draws[3 * (terms // 2) + 1 + terms % 2], ambient)
+    del draws
+    rep = NuclearRep.from_arrays(ambient, mu, fun, vec)
     if len(rep) >= 2:
         for _ in range(min(8, len(rep))):
             rep = rewrite_equivalent(rep, "rotate", int(rng.integers(2**63)))

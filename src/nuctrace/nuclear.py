@@ -27,7 +27,7 @@ from .seqspace import (
     Vector,
     conjugate_tag,
     lp,
-    lp_norm,
+    row_norms,
 )
 
 __all__ = [
@@ -68,41 +68,70 @@ class NuclearRep:
     order : OrderExponent, optional
         Defaults to the curve value ``s_from_p(ambient.p)``; override only
         for experiments that scan the order away from the curve.
+
+    Weights must be finite and nonnegative, coordinates and their norms
+    finite, and the total weight ``sum_k mu_k |f_k| |v_k|`` finite; anything
+    else raises ``ValueError`` before it can reach an eigensolver.
     """
 
     __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec")
 
     def __init__(self, ambient: SpaceTag, terms, order: OrderExponent | None = None):
+        mus, funs, vecs = [], [], []
+        for mu, f_coords, v_coords in terms:
+            mus.append(float(mu))
+            funs.append(f_coords)
+            vecs.append(v_coords)
+        self._normalize(ambient, np.array(mus, dtype=np.float64), funs, vecs, order)
+
+    @classmethod
+    def from_arrays(cls, ambient: SpaceTag, mu, functionals, vectors,
+                    order: OrderExponent | None = None) -> "NuclearRep":
+        """Build from a weight vector and ``(k, dim)`` coordinate arrays.
+
+        Equivalent to passing the rows as a term list, without the list;
+        the inputs are not modified.
+        """
+        mu = np.asarray(mu, dtype=np.float64)
+        if mu.ndim != 1:
+            raise ValueError(f"weights must be a 1-d array, got shape {mu.shape}")
+        rep = cls.__new__(cls)
+        rep._normalize(ambient, mu, functionals, vectors, order)
+        return rep
+
+    def _normalize(self, ambient, mu, funs, vecs, order) -> None:
+        """Validate, absorb the row norms into ``mu``, drop terms lighter than
+        ``MU_FLOOR`` and sort by nonincreasing weight (stable)."""
         if ambient.kind != "lp":
             raise ValueError(f"ambient space must be an lp tag, got {ambient}")
         self.ambient = ambient
         self.conjugate = conjugate_tag(ambient)
         self.order = OrderExponent(order) if order is not None else s_from_p(ambient.p)
 
-        mus, funs, vecs = [], [], []
-        for mu, f_coords, v_coords in terms:
-            mu = float(mu)
-            if not np.isfinite(mu) or mu < 0:
-                raise ValueError(f"term weights must be finite and >= 0, got {mu}")
-            f = Vector(f_coords, self.conjugate)
-            v = Vector(v_coords, ambient)
-            scale = mu * lp_norm(f) * lp_norm(v)
-            if scale < MU_FLOOR:
-                continue
-            mus.append(scale)
-            funs.append(f.coords / lp_norm(f))
-            vecs.append(v.coords / lp_norm(v))
+        bad = ~(np.isfinite(mu) & (mu >= 0))
+        if bad.any():
+            raise ValueError(f"term weights must be finite and >= 0, got {mu[bad][0]}")
+        fun = _rows(funs, mu.shape[0], self.conjugate)
+        vec = _rows(vecs, mu.shape[0], ambient)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            norm_f = row_norms(fun, self.conjugate)
+            norm_v = row_norms(vec, ambient)
+            scale = mu * norm_f * norm_v
+            total = scale.sum()
+        if not (np.isfinite(norm_f).all() and np.isfinite(norm_v).all()):
+            if not (np.isfinite(fun).all() and np.isfinite(vec).all()):
+                raise ValueError("term coordinates must be finite")
+            raise ValueError("a term coordinate norm overflows")
+        if not np.isfinite(total):
+            raise ValueError("total term weight sum(mu |f| |v|) overflows")
 
-        n = ambient.dim
-        if mus:
-            order_idx = np.argsort(-np.asarray(mus), kind="stable")
-            self._mu = np.asarray(mus, dtype=np.float64)[order_idx]
-            self._fun = np.asarray(funs, dtype=np.float64)[order_idx]
-            self._vec = np.asarray(vecs, dtype=np.float64)[order_idx]
-        else:
-            self._mu = np.zeros(0)
-            self._fun = np.zeros((0, n))
-            self._vec = np.zeros((0, n))
+        kept = np.flatnonzero(scale >= MU_FLOOR)
+        order_idx = kept[np.argsort(-scale[kept], kind="stable")]
+        self._mu = scale[order_idx]
+        self._fun = fun[order_idx]
+        self._fun /= norm_f[order_idx, None]
+        self._vec = vec[order_idx]
+        self._vec /= norm_v[order_idx, None]
         for a in (self._mu, self._fun, self._vec):
             a.flags.writeable = False
 
@@ -141,6 +170,14 @@ class NuclearRep:
         return f"NuclearRep({self.ambient}, {len(self)} terms, s={self.order})"
 
 
+def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
+    """Coordinates as a ``(k, dim)`` float array; a list of rows is stacked."""
+    rows = np.asarray(coords, dtype=np.float64) if k else np.zeros((0, tag.dim))
+    if rows.shape != (k, tag.dim):
+        raise ValueError(f"term coordinates of shape {rows.shape} do not match {k} rows in {tag}")
+    return rows
+
+
 def quasi_norm_value(rep: NuclearRep, s) -> float:
     """Representation value ``(sum_k (mu_k |f_k| |v_k|)^s)^(1/s)``.
 
@@ -152,8 +189,8 @@ def quasi_norm_value(rep: NuclearRep, s) -> float:
     s = OrderExponent(s)
     if len(rep) == 0:
         return 0.0
-    norms_f = np.array([lp_norm(Vector(f, rep.conjugate)) for f in rep.functionals])
-    norms_v = np.array([lp_norm(Vector(v, rep.ambient)) for v in rep.vectors])
+    norms_f = row_norms(rep.functionals, rep.conjugate)
+    norms_v = row_norms(rep.vectors, rep.ambient)
     sf = float(s)
     return float(np.power(np.power(rep.mu * norms_f * norms_v, sf).sum(), 1.0 / sf))
 
@@ -185,22 +222,27 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     a representation on ``lp(p)`` with ``p < 2`` is handed to code that
     requires ``p >= 2``.
     """
-    swapped = [(mu, v, f) for mu, f, v in rep.raw_terms()]
-    return NuclearRep(rep.conjugate, swapped, order=rep.order)
+    return NuclearRep.from_arrays(
+        rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order
+    )
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _split(rep: NuclearRep, rng: np.random.Generator) -> list:
+def _rewritten(rep: NuclearRep, mu, fun, vec) -> NuclearRep:
+    return NuclearRep.from_arrays(rep.ambient, mu, fun, vec, order=rep.order)
+
+
+def _split(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     if len(rep) < 1:
         raise SchemeNotApplicableError("split needs at least one term")
-    terms = rep.raw_terms()
-    k = int(rng.integers(len(terms)))
-    mu, f, v = terms[k]
-    terms[k : k + 1] = [(mu / 2.0, f, v), (mu / 2.0, f.copy(), v.copy())]
-    return terms
+    k = int(rng.integers(len(rep)))
+    idx = np.insert(np.arange(len(rep)), k, k)
+    mu = rep.mu[idx]
+    mu[k : k + 2] = rep.mu[k] / 2.0
+    return _rewritten(rep, mu, rep.functionals[idx], rep.vectors[idx])
 
 
 def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
@@ -210,7 +252,9 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     sign, so both outer products point the same way.  Each term is
     sign-canonicalized (the functional's largest entry made positive, the
     vector flipped along) and the joint rows are lexsorted: candidates are
-    then adjacent, which keeps the scan near-linear instead of quadratic.
+    then adjacent, and all adjacent rows are compared at once with the
+    ``np.allclose`` test ``|a - b| <= 1e-12 + 1e-9 |b|``.  Pairs come in
+    lexsorted order, as ``(smaller index, larger index)``.
     """
     k = len(rep)
     if k < 2:
@@ -220,26 +264,29 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     signs[signs == 0] = 1.0
     canon = np.concatenate([rep.functionals, rep.vectors], axis=1) * signs[:, None]
     order = np.lexsort(canon.T[::-1])
-    pairs = []
-    for a, b in zip(order, order[1:]):
-        if np.allclose(canon[a], canon[b], rtol=1e-9, atol=1e-12):
-            pairs.append((min(a, b), max(a, b)))
-    return pairs
+    canon = canon[order]
+    gap = canon[:-1] - canon[1:]
+    np.abs(gap, out=gap)
+    tol = np.abs(canon[1:])
+    tol *= 1e-9
+    tol += 1e-12
+    close = (gap <= tol).all(axis=1)
+    a, b = order[:-1][close], order[1:][close]
+    return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _merge(rep: NuclearRep, rng: np.random.Generator) -> list:
+def _merge(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     pairs = _parallel_pairs(rep)
     if not pairs:
         raise SchemeNotApplicableError("merge needs two parallel-compatible terms")
     i, j = pairs[int(rng.integers(len(pairs)))]
-    terms = rep.raw_terms()
-    mu_i, f_i, v_i = terms[i]
-    mu_j = terms[j][0]
-    merged = (mu_i + mu_j, f_i, v_i)
-    return [merged] + [t for k, t in enumerate(terms) if k not in (i, j)]
+    idx = np.concatenate(([i], np.delete(np.arange(len(rep)), [i, j])))
+    mu = rep.mu[idx]
+    mu[0] = rep.mu[i] + rep.mu[j]
+    return _rewritten(rep, mu, rep.functionals[idx], rep.vectors[idx])
 
 
-def _rotate(rep: NuclearRep, rng: np.random.Generator) -> list:
+def _rotate(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     if len(rep) < 2:
         raise SchemeNotApplicableError("rotate needs at least two terms")
     idx = rng.choice(len(rep), size=2, replace=False)
@@ -248,7 +295,7 @@ def _rotate(rep: NuclearRep, rng: np.random.Generator) -> list:
     return rotate_pair(rep, i, j, theta)
 
 
-def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> list:
+def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     """Joint plane rotation of terms i and j; the assembled sum is invariant.
 
     Writing the pair as ``x_i y_i^T + x_j y_j^T`` with ``x = mu v`` scaled
@@ -258,27 +305,29 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> list:
         x_j' = -s x_i + c x_j      y_j' = -s y_i + c y_j
 
     so the sum of outer products is exactly preserved (the rotation cancels
-    against its transpose).  When the pair shares a functional the rotation
-    redistributes weight between the two terms; at theta = pi/4 one term
-    degenerates to zero and is dropped, which merges the pair.
+    against its transpose).  The other terms keep their order and the two
+    rotated terms follow them.  When the pair shares a functional the
+    rotation redistributes weight between the two terms; at theta = pi/4
+    one term degenerates to zero and is dropped, which merges the pair.
     """
     c, s = np.cos(theta), np.sin(theta)
-    terms = rep.raw_terms()
-    mu_i, f_i, v_i = terms[i]
-    mu_j, f_j, v_j = terms[j]
-    x_i, x_j = mu_i * v_i, mu_j * v_j
-    new_i = (1.0, c * f_i + s * f_j, c * x_i + s * x_j)
-    new_j = (1.0, -s * f_i + c * f_j, -s * x_i + c * x_j)
-    out = [t for k, t in enumerate(terms) if k not in (i, j)]
-    for mu, f, v in (new_i, new_j):
-        # a degenerate side (for a shared pair at theta = pi/4, up to rounding)
-        # leaves a term far below the pair weight; dropping it perturbs the
-        # assembled matrix by at most 1e-14 relative, inside the contract
-        weight = lp_norm(Vector(f, rep.conjugate)) * lp_norm(Vector(v, rep.ambient))
-        if weight <= 1e-14 * (mu_i + mu_j):
-            continue
-        out.append((mu, f, v))
-    return out
+    mu_i, mu_j = rep.mu[i], rep.mu[j]
+    f_i, f_j = rep.functionals[i], rep.functionals[j]
+    x_i, x_j = mu_i * rep.vectors[i], mu_j * rep.vectors[j]
+    fun = np.array([c * f_i + s * f_j, -s * f_i + c * f_j])
+    vec = np.array([c * x_i + s * x_j, -s * x_i + c * x_j])
+    # a degenerate side (for a shared pair at theta = pi/4, up to rounding)
+    # leaves a term far below the pair weight; dropping it perturbs the
+    # assembled matrix by at most 1e-14 relative, inside the contract
+    weight = row_norms(fun, rep.conjugate) * row_norms(vec, rep.ambient)
+    live = weight > 1e-14 * (mu_i + mu_j)
+    rest = np.delete(np.arange(len(rep)), [i, j])
+    return _rewritten(
+        rep,
+        np.concatenate([rep.mu[rest], np.ones(int(live.sum()))]),
+        np.concatenate([rep.functionals[rest], fun[live]]),
+        np.concatenate([rep.vectors[rest], vec[live]]),
+    )
 
 
 def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:
@@ -293,12 +342,10 @@ def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:
         raise ValueError(f"unknown rewrite scheme {scheme!r}")
     rng = _rng(seed)
     if scheme == "split":
-        terms = _split(rep, rng)
-    elif scheme == "merge":
-        terms = _merge(rep, rng)
-    else:
-        terms = _rotate(rep, rng)
-    return NuclearRep(rep.ambient, terms, order=rep.order)
+        return _split(rep, rng)
+    if scheme == "merge":
+        return _merge(rep, rng)
+    return _rotate(rep, rng)
 
 
 def equivalent(rep1: NuclearRep, rep2: NuclearRep, tol: float) -> bool:

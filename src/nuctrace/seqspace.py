@@ -10,6 +10,10 @@ wrong numbers.
 
 Vectors and dense operators are immutable float64 arrays tagged with their
 spaces.  Truncation levels are capped at 4096; everything is dense.
+
+:func:`row_norms` takes the norm of every row of a ``(k, dim)`` array in
+one pass; :func:`lp_norm` is its one-row case, so the library has a single
+norm path.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "linf",
     "conjugate_tag",
     "lp_norm",
+    "row_norms",
     "dual_pairing",
     "normalize",
     "apply",
@@ -140,22 +145,34 @@ class DenseOperator:
         return self.matrix.shape
 
 
-def lp_norm(v: Vector) -> float:
-    """Norm of ``v`` in its tagged space: power mean for finite p, sup otherwise."""
-    x = np.abs(v.coords)
-    tag = v.space
+def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
+    """Norm of each row of a ``(k, dim)`` array in ``tag``, in one pass.
+
+    Each row gets exactly the arithmetic of a single-vector norm: power mean
+    for finite p (with the peak scaled out so large p does not underflow),
+    sup otherwise.  At p = 2 every row goes through its own ``np.dot``,
+    whose BLAS summation order a batched reduction would not reproduce.
+    The work array is C-ordered whatever the layout of ``rows`` (a column
+    block, say), so each row is summed in the one-vector order.
+    """
+    x = np.abs(rows, order="C")
     if tag.kind != "lp" or tag.p.is_inf:
-        return float(x.max(initial=0.0))
+        return x.max(axis=1, initial=0.0)
     pf = float(tag.p)
     if pf == 1.0:
-        return float(x.sum())
+        return x.sum(axis=1)
     if pf == 2.0:
-        return float(np.sqrt(np.dot(x, x)))
-    top = x.max(initial=0.0)
-    if top == 0.0:
-        return 0.0
-    # scale out the peak so large p does not underflow
-    return float(top * np.power(np.power(x / top, pf).sum(), 1.0 / pf))
+        return np.sqrt(np.fromiter((np.dot(r, r) for r in x), np.float64, x.shape[0]))
+    top = x.max(axis=1, initial=0.0)
+    # zero rows divide by 1 instead of 0 and still come out as top * 0 = 0
+    x /= np.where(top == 0.0, 1.0, top)[:, None]
+    np.power(x, pf, out=x)
+    return top * np.power(x.sum(axis=1), 1.0 / pf)
+
+
+def lp_norm(v: Vector) -> float:
+    """Norm of ``v`` in its tagged space: the one-row case of :func:`row_norms`."""
+    return float(row_norms(v.coords[None, :], v.space)[0])
 
 
 def dual_pairing(f: Vector, v: Vector) -> float:

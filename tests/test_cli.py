@@ -68,6 +68,21 @@ class TestSpectrumCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert cli_main(["spectrum", "--rep", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "functional", [[float("nan"), 0.0, 0.0], [1e308, 1e308, 1e308]], ids=["nan", "1e308"]
+    )
+    def test_nonfinite_or_overflowing_rep_is_usage_error(self, functional, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        term = {"mu": 1.0, "functional": functional, "vector": [1.0, 0.0, 0.0]}
+        src.write_text(json.dumps({"ambient": {"p": "2", "dim": 3}, "terms": [term]}))
+        for argv in (["spectrum", "--rep", str(src)],
+                     ["factorize", "--rep", str(src), "--out", str(tmp_path / "o.json")]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err and "eigensolver" not in captured.err
+
 
 class TestFactorizeCommand:
     def test_writes_pipeline(self, rep_file, tmp_path, capsys):

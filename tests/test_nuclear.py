@@ -53,6 +53,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NuclearRep(lp(2, 2), [(float("nan"), [1, 0], [1, 0])])
 
+    def test_nonfinite_coordinates_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                NuclearRep(lp(2, 2), [(1.0, [1, 0], [1, 0]), (1.0, [bad, 0.0], [1, 0])])
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                NuclearRep(lp(np.inf, 2), [(1.0, [1, 0], [0.5, bad])])
+
+    def test_overflowing_norms_and_weights_rejected(self):
+        huge = [1e308, 1e308]
+        # the l2 norm of finite coordinates overflows
+        with pytest.raises(ValueError, match="norm overflows"):
+            NuclearRep(lp(2, 2), [(1.0, huge, [1, 0])])
+        # finite norms whose product with the weight overflows
+        with pytest.raises(ValueError, match="overflows"):
+            NuclearRep(lp(np.inf, 2), [(1.0, [1e308, 0.0], [1e308, 0.0])])
+        # every term finite, the weight sum is not
+        with pytest.raises(ValueError, match="overflows"):
+            NuclearRep(lp(2, 1), [(1e308, [1.0], [1.0])] * 2)
+
     def test_ambient_must_be_lp(self):
         from nuctrace import c0
 
@@ -181,7 +200,7 @@ class TestRewrites:
         f = np.array([1.0, 0.0, 0.0])
         rep = NuclearRep(lp(2, 3), [(1.0, f, e(1, 3)), (0.5, f, e(2, 3))])
         before = assemble(rep).matrix
-        rotated = NuclearRep(rep.ambient, rotate_pair(rep, 0, 1, np.pi / 4))
+        rotated = rotate_pair(rep, 0, 1, np.pi / 4)
         after = assemble(rotated).matrix
         assert np.linalg.norm(after - before) <= 1e-12 * (1 + np.linalg.norm(before))
         # theta = pi/4 on a shared-functional pair merges the two terms

@@ -1,0 +1,295 @@
+"""The array-native rep core against the per-term loop it replaced.
+
+The reference functions below are the original list-based implementations
+(a Python loop over terms, one norm per vector); the library must agree
+with them bit for bit, so every comparison is ``np.array_equal``.
+"""
+
+import numpy as np
+import pytest
+
+from nuctrace import (
+    NuclearRep,
+    adjoint_rep,
+    conjugate_tag,
+    generate_family,
+    lp,
+    rewrite_equivalent,
+    row_norms,
+)
+from nuctrace.exponents import s_from_p
+from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights, _generator
+from nuctrace.nuclear import MU_FLOOR, _parallel_pairs, _rng, rotate_pair
+from nuctrace.seqspace import c0, linf
+
+from conftest import make_rng
+
+EXPONENTS = (1, "4/3", "3/2", 2, 3, "inf")
+
+
+# --- reference implementations ------------------------------------------------
+
+
+def ref_norm(coords, tag) -> float:
+    x = np.abs(np.array(coords, dtype=np.float64))
+    if tag.kind != "lp" or tag.p.is_inf:
+        return float(x.max(initial=0.0))
+    pf = float(tag.p)
+    if pf == 1.0:
+        return float(x.sum())
+    if pf == 2.0:
+        return float(np.sqrt(np.dot(x, x)))
+    top = x.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    return float(top * np.power(np.power(x / top, pf).sum(), 1.0 / pf))
+
+
+def ref_arrays(ambient, terms):
+    """The per-term constructor loop: returns (mu, functionals, vectors)."""
+    conj = conjugate_tag(ambient)
+    mus, funs, vecs = [], [], []
+    for mu, f, v in terms:
+        f = np.array(f, dtype=np.float64)
+        v = np.array(v, dtype=np.float64)
+        scale = float(mu) * ref_norm(f, conj) * ref_norm(v, ambient)
+        if scale < MU_FLOOR:
+            continue
+        mus.append(scale)
+        funs.append(f / ref_norm(f, conj))
+        vecs.append(v / ref_norm(v, ambient))
+    n = ambient.dim
+    if not mus:
+        return np.zeros(0), np.zeros((0, n)), np.zeros((0, n))
+    order = np.argsort(-np.asarray(mus), kind="stable")
+    return (
+        np.asarray(mus)[order],
+        np.asarray(funs, dtype=np.float64)[order],
+        np.asarray(vecs, dtype=np.float64)[order],
+    )
+
+
+class RefRep:
+    """A rep built by the per-term loop; the reference rewrites act on it."""
+
+    def __init__(self, ambient, terms):
+        self.ambient = ambient
+        self.conjugate = conjugate_tag(ambient)
+        self.mu, self.functionals, self.vectors = ref_arrays(ambient, terms)
+
+    def __len__(self):
+        return len(self.mu)
+
+    def raw_terms(self):
+        return [
+            (float(m), f.copy(), v.copy())
+            for m, f, v in zip(self.mu, self.functionals, self.vectors)
+        ]
+
+
+def ref_split(rep, rng):
+    terms = rep.raw_terms()
+    k = int(rng.integers(len(terms)))
+    mu, f, v = terms[k]
+    terms[k : k + 1] = [(mu / 2.0, f, v), (mu / 2.0, f.copy(), v.copy())]
+    return terms
+
+
+def ref_parallel_pairs(rep):
+    k = len(rep)
+    if k < 2:
+        return []
+    lead = np.argmax(np.abs(rep.functionals), axis=1)
+    signs = np.sign(rep.functionals[np.arange(k), lead])
+    signs[signs == 0] = 1.0
+    canon = np.concatenate([rep.functionals, rep.vectors], axis=1) * signs[:, None]
+    order = np.lexsort(canon.T[::-1])
+    pairs = []
+    for a, b in zip(order, order[1:]):
+        if np.allclose(canon[a], canon[b], rtol=1e-9, atol=1e-12):
+            pairs.append((int(min(a, b)), int(max(a, b))))
+    return pairs
+
+
+def ref_merge(rep, rng):
+    pairs = ref_parallel_pairs(rep)
+    i, j = pairs[int(rng.integers(len(pairs)))]
+    terms = rep.raw_terms()
+    mu_i, f_i, v_i = terms[i]
+    merged = (mu_i + terms[j][0], f_i, v_i)
+    return [merged] + [t for k, t in enumerate(terms) if k not in (i, j)]
+
+
+def ref_rotate_pair(rep, i, j, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    terms = rep.raw_terms()
+    mu_i, f_i, v_i = terms[i]
+    mu_j, f_j, v_j = terms[j]
+    x_i, x_j = mu_i * v_i, mu_j * v_j
+    new_i = (1.0, c * f_i + s * f_j, c * x_i + s * x_j)
+    new_j = (1.0, -s * f_i + c * f_j, -s * x_i + c * x_j)
+    out = [t for k, t in enumerate(terms) if k not in (i, j)]
+    for mu, f, v in (new_i, new_j):
+        if ref_norm(f, rep.conjugate) * ref_norm(v, rep.ambient) <= 1e-14 * (mu_i + mu_j):
+            continue
+        out.append((mu, f, v))
+    return out
+
+
+def ref_rotate(rep, rng):
+    idx = rng.choice(len(rep), size=2, replace=False)
+    theta = float(rng.uniform(np.pi / 8, 3 * np.pi / 8))
+    return ref_rotate_pair(rep, int(idx[0]), int(idx[1]), theta)
+
+
+REF_SCHEMES = {"split": ref_split, "merge": ref_merge, "rotate": ref_rotate}
+
+
+def assert_same(rep, ref):
+    assert np.array_equal(rep.mu, ref.mu)
+    assert np.array_equal(rep.functionals, ref.functionals)
+    assert np.array_equal(rep.vectors, ref.vectors)
+
+
+def raw_terms(rng, dim, k):
+    """Un-normalized terms with scattered scales, plus one below MU_FLOOR."""
+    terms = [
+        (
+            (j + 1.0) ** -1.3,
+            rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3),
+            rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3),
+        )
+        for j in range(k)
+    ]
+    terms.insert(k // 2, (1e-305, rng.standard_normal(dim), rng.standard_normal(dim)))
+    return terms
+
+
+def shared_terms(rng, dim, pairs):
+    """Pairs of terms sharing a functional, so merges and pi/4 rotations apply."""
+    terms = []
+    for j in range(pairs):
+        f = rng.standard_normal(dim)
+        terms.append((1.0 / (j + 1), f, rng.standard_normal(dim)))
+        terms.append((0.5 / (j + 1), f, rng.standard_normal(dim)))
+    return terms
+
+
+# --- tests --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_row_norms_match_reference_norm(p):
+    rng = make_rng(201)
+    for dim in (1, 3, 8, 17, 130, 513):
+        rows = rng.standard_normal((6, dim)) * 10.0 ** rng.uniform(-5, 5, size=(6, 1))
+        rows[1] = 0.0
+        for tag in (lp(p, dim), conjugate_tag(lp(p, dim))):
+            ref = [ref_norm(r, tag) for r in rows]
+            assert np.array_equal(row_norms(rows, tag), ref)
+    rows = rng.standard_normal((4, 9))
+    for tag in (c0(9), linf(9)):
+        assert np.array_equal(row_norms(rows, tag), [ref_norm(r, tag) for r in rows])
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_constructor_matches_per_term_loop(p):
+    rng = make_rng(202)
+    for dim, k in ((1, 3), (5, 4), (33, 12), (96, 40)):
+        terms = raw_terms(rng, dim, k)
+        ambient = lp(p, dim)
+        rep = NuclearRep(ambient, terms)
+        assert len(rep) == k  # the 1e-305 term fell below MU_FLOOR
+        ref = RefRep(ambient, terms)
+        assert_same(rep, ref)
+        swapped = [(mu, v, f) for mu, f, v in ref.raw_terms()]
+        assert_same(adjoint_rep(rep), RefRep(rep.conjugate, swapped))
+
+
+def test_constructor_drops_everything_below_floor():
+    rep = NuclearRep(lp(3, 4), [(1e-200, np.ones(4) * 1e-60, np.ones(4) * 1e-60)])
+    assert len(rep) == 0
+    assert rep.functionals.shape == rep.vectors.shape == (0, 4)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_rewrites_match_list_based_reference(p):
+    rng = make_rng(203)
+    terms = shared_terms(rng, 24, 6)
+    rep, ref = NuclearRep(lp(p, 24), terms), RefRep(lp(p, 24), terms)
+    merges = 0
+    for step in range(30):
+        scheme = ("split", "merge", "rotate")[step % 3]
+        seed = int(rng.integers(2**63))
+        if scheme == "merge" and not ref_parallel_pairs(ref):
+            continue
+        rep = rewrite_equivalent(rep, scheme, seed)
+        ref = RefRep(ref.ambient, REF_SCHEMES[scheme](ref, _rng(seed)))
+        assert_same(rep, ref)
+        merges += scheme == "merge"
+    assert merges > 0
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_quarter_pi_rotation_of_shared_pair(p):
+    terms = shared_terms(make_rng(204), 16, 3)
+    rep, ref = NuclearRep(lp(p, 16), terms), RefRep(lp(p, 16), terms)
+    assert np.array_equal(rep.functionals[0], rep.functionals[1])
+    out = rotate_pair(rep, 0, 1, np.pi / 4)
+    assert_same(out, RefRep(ref.ambient, ref_rotate_pair(ref, 0, 1, np.pi / 4)))
+    assert len(out) == len(rep) - 1
+
+
+def test_parallel_pairs_match_reference():
+    rng = make_rng(205)
+    for p in EXPONENTS:
+        rep = NuclearRep(lp(p, 12), shared_terms(rng, 12, 4))
+        for seed in range(6):
+            rep = rewrite_equivalent(rep, "split", seed)
+        # a sign-flipped copy of term 0 is parallel to it as well
+        mu, f, v = rep.raw_terms()[0]
+        rep = NuclearRep(rep.ambient, rep.raw_terms() + [(mu / 3, -f, -v)])
+        pairs = _parallel_pairs(rep)
+        assert len(pairs) >= 7
+        assert pairs == ref_parallel_pairs(rep)
+
+
+def ref_family(config, n):
+    """The per-term generator loop for the two random families."""
+    k_terms = min(config.decay.term_count, n)
+    mu = _decay_weights(config, k_terms)
+    ambient = lp(config.p, n)
+    conj = conjugate_tag(ambient)
+    rng = _generator(config.seed, n)
+
+    def unit(tag):
+        x = rng.standard_normal(n)
+        return x / ref_norm(x, tag)
+
+    if config.family == "random_unit":
+        return ambient, [(mu[k], unit(conj), unit(ambient)) for k in range(k_terms)], rng
+    terms = []
+    for k in range(0, k_terms, 2):
+        f = unit(conj)
+        terms.append((mu[k], f, unit(ambient)))
+        if k + 1 < k_terms:
+            terms.append((mu[k + 1], f, unit(ambient)))
+    return ambient, terms, rng
+
+
+@pytest.mark.parametrize("p", ("4/3", 2, "inf"))
+@pytest.mark.parametrize("term_count", (1, 6, 7))
+def test_generate_family_matches_sequential_draws(p, term_count):
+    for family in ("random_unit", "shared_functional_rotations"):
+        config = ExperimentConfig(
+            p=p, family=family, decay=DecayProfile(1.1, term_count), ladder=(16,), seed=77
+        )
+        ambient, terms, rng = ref_family(config, 16)
+        ref = RefRep(ambient, terms)
+        if family == "shared_functional_rotations" and len(ref) >= 2:
+            for _ in range(min(8, len(ref))):
+                seed = int(rng.integers(2**63))
+                ref = RefRep(ambient, ref_rotate(ref, _rng(seed)))
+        rep = generate_family(config, 16)
+        assert_same(rep, ref)
+        assert rep.order == s_from_p(ambient.p)

@@ -14,6 +14,7 @@ from nuctrace import (
     lp,
     lp_norm,
     normalize,
+    row_norms,
 )
 from nuctrace.seqspace import (
     diagonal_operator,
@@ -68,6 +69,24 @@ class TestNorms:
     def test_zero_iff_zero_vector(self):
         assert lp_norm(Vector(np.zeros(3), lp("3/2", 3))) == 0.0
         assert lp_norm(Vector([0.0, 1e-320, 0.0], linf(3))) > 0.0
+
+    def test_row_norms_equal_lp_norm_row_by_row(self):
+        rng = make_rng(56)
+        for dim in (1, 2, 7, 64, 300, 2048):
+            rows = rng.standard_normal((5, dim)) * 10.0 ** rng.uniform(-8, 8, size=(5, 1))
+            rows[3] = 0.0
+            for tag in (lp(1, dim), lp("4/3", dim), lp("3/2", dim), lp(2, dim),
+                        lp(3, dim), lp(np.inf, dim), c0(dim), linf(dim)):
+                expected = [lp_norm(Vector(r, tag)) for r in rows]
+                assert np.array_equal(row_norms(rows, tag), expected)
+                # any memory layout sums each row in the one-vector order
+                assert np.array_equal(row_norms(np.asfortranarray(rows), tag), expected)
+                strided = np.repeat(rows, 2, axis=1)[:, ::2]
+                assert np.array_equal(row_norms(strided, tag), expected)
+
+    def test_row_norms_of_no_rows(self):
+        for tag in (lp(1, 3), lp(2, 3), lp("7/3", 3), lp(np.inf, 3)):
+            assert row_norms(np.zeros((0, 3)), tag).shape == (0,)
 
     def test_norm_axioms_on_samples(self):
         rng = make_rng(55)
