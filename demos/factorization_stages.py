@@ -15,7 +15,6 @@ import numpy as np
 from nuctrace import (
     NuclearRep,
     adjoint_rep,
-    assemble,
     build_pipeline,
     conjugate_tag,
     lp,
@@ -46,8 +45,7 @@ def demo(p, dim=12, n_terms=6):
     print(f"p = {pipe.triple.p}: s = {pipe.triple.s}, r = {pipe.triple.r}")
     for stage in pipe.stages():
         print(f"    {str(stage.domain):>12} -> {str(stage.codomain):<12}")
-    err = np.linalg.norm(pipe.composed().matrix - assemble(rep).matrix)
-    print(f"  reconstruction error {err:.2e}")
+    print(f"  reconstruction error {pipe.reconstruction_error:.2e}")
     for cert in summing_certificates(pipe):
         print(f"  {cert.stage_label}: Pi_{cert.exponent} bound {cert.bound:.6f}  [{cert.formula}]")
     print()

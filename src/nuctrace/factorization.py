@@ -30,14 +30,15 @@ from .exponents import (
     OrderExponent,
     ParameterTriple,
     check_holder_chain,
-    conjugate,
 )
 from .nuclear import NuclearRep, assemble
 from .seqspace import (
     DenseOperator,
+    DiagonalOperator,
     Vector,
     c0,
     compose,
+    conjugate_tag,
     diagonal_operator,
     identity_injection,
     linf,
@@ -80,21 +81,23 @@ class SummingCertificate:
 class Pipeline:
     """The assembled five-stage factorization record."""
 
-    stage_a: DenseOperator      # lp(p) -> linf, row k = functional k
-    stage_d1ms: DenseOperator   # linf -> lp(r), diag mu^(1-s)
-    stage_j: DenseOperator      # lp(r) -> c0, formal identity
-    stage_d1: DenseOperator     # c0 -> lp(2), diag mu^(s/2)
-    stage_d2: DenseOperator     # lp(2) -> lp(1), diag mu^(s/2)
-    stage_b: DenseOperator      # lp(1) -> lp(p), column k = vector k
+    stage_a: DenseOperator        # lp(p) -> linf, row k = functional k
+    stage_d1ms: DiagonalOperator  # linf -> lp(r), diag mu^(1-s)
+    stage_j: DiagonalOperator     # lp(r) -> c0, formal identity
+    stage_d1: DiagonalOperator    # c0 -> lp(2), diag mu^(s/2)
+    stage_d2: DiagonalOperator    # lp(2) -> lp(1), diag mu^(s/2)
+    stage_b: DenseOperator        # lp(1) -> lp(p), column k = vector k
     triple: ParameterTriple
     mu: np.ndarray
+    reconstruction_error: float   # |composed - assemble(rep)|_F, computed once
+    target_norm: float            # |assemble(rep)|_F
 
     def __post_init__(self):
         m = np.array(self.mu, dtype=np.float64, copy=True).reshape(-1)
         m.flags.writeable = False
         object.__setattr__(self, "mu", m)
 
-    def stages(self) -> list[DenseOperator]:
+    def stages(self) -> list[DenseOperator | DiagonalOperator]:
         """All six stages in application order."""
         return [
             self.stage_a,
@@ -162,43 +165,34 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     d1, d2 = split_diagonal(mu, triple.s)
     d1ms = np.power(mu, 1.0 - s)
 
+    stages = (
+        DenseOperator(rep.functionals, tag_y, tag_inf),
+        diagonal_operator(d1ms, tag_inf, tag_r),
+        identity_injection(tag_r, tag_c0),
+        diagonal_operator(d1, tag_c0, tag_2),
+        diagonal_operator(d2, tag_2, tag_1),
+        DenseOperator(rep.vectors.T, tag_1, tag_y),
+    )
+    target = assemble(rep).matrix
     pipe = Pipeline(
-        stage_a=DenseOperator(rep.functionals, tag_y, tag_inf),
-        stage_d1ms=diagonal_operator(d1ms, tag_inf, tag_r),
-        stage_j=identity_injection(tag_r, tag_c0),
-        stage_d1=diagonal_operator(d1, tag_c0, tag_2),
-        stage_d2=diagonal_operator(d2, tag_2, tag_1),
-        stage_b=DenseOperator(rep.vectors.T, tag_1, tag_y),
+        *stages,
         triple=triple,
         mu=mu,
+        reconstruction_error=float(np.linalg.norm(compose(stages).matrix - target)),
+        target_norm=float(np.linalg.norm(target)),
     )
-    _check_pipeline(pipe, rep)
+    _check_pipeline(pipe)
     return pipe
 
 
-def _check_pipeline(pipe: Pipeline, rep: NuclearRep) -> None:
+def _check_pipeline(pipe: Pipeline) -> None:
     """Internal consistency gates; violations indicate a wiring bug."""
-    target = assemble(rep).matrix
-    recon = pipe.composed().matrix
-    err = np.linalg.norm(recon - target)
-    if err > 1e-10 * (1.0 + np.linalg.norm(target)):
+    err = pipe.reconstruction_error
+    if err > 1e-10 * (1.0 + pipe.target_norm):
         raise RuntimeError(f"pipeline does not reconstruct its representation: {err:g}")
-    d1 = np.diag(pipe.stage_d1.matrix)
-    d2 = np.diag(pipe.stage_d2.matrix)
-    d1ms = np.diag(pipe.stage_d1ms.matrix)
+    d1ms, d1, d2 = pipe.stage_d1ms.diag, pipe.stage_d1.diag, pipe.stage_d2.diag
     if not np.allclose(d1 * d2 * d1ms, pipe.mu, rtol=1e-13, atol=0.0):
         raise RuntimeError("diagonal stages do not multiply back to the weights")
-
-
-def _opnorm_lp_to_sup(op: DenseOperator) -> float:
-    """Exact operator norm lp(p) -> sup-normed tag: max dual norm of the rows."""
-    dual = lp(conjugate(op.domain.p), op.domain.dim)
-    return float(row_norms(op.matrix, dual).max())
-
-
-def _opnorm_l1_to_lp(op: DenseOperator) -> float:
-    """Exact operator norm lp(1) -> lp(p): max codomain norm of the columns."""
-    return float(row_norms(op.matrix.T, op.codomain).max())
 
 
 def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
@@ -214,15 +208,14 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     value; order boundedness gives no constant, so its sharpness is not
     certified.
     """
-    triple = pipe.triple
-    k = pipe.mu.shape[0]
-    d1ms = np.diag(pipe.stage_d1ms.matrix)
-    d1 = np.diag(pipe.stage_d1.matrix)
-
-    norm_a = _opnorm_lp_to_sup(pipe.stage_a)
-    norm_b = _opnorm_l1_to_lp(pipe.stage_b)
-    d1ms_r = lp_norm(Vector(d1ms, lp(triple.r, k)))
-    d_l2 = lp_norm(Vector(d1, lp(2, k)))
+    triple, a, b = pipe.triple, pipe.stage_a, pipe.stage_b
+    # exact operator norms: lp(p) -> sup is the largest dual norm of a row
+    # of A, lp(1) -> lp(p) the largest norm of a column of B
+    norm_a = float(row_norms(a.matrix, conjugate_tag(a.domain)).max())
+    norm_b = float(row_norms(b.matrix.T, b.codomain).max())
+    # each diagonal in its stage's codomain, lp(r) and lp(2)
+    d1ms_r = lp_norm(Vector(pipe.stage_d1ms.diag, pipe.stage_d1ms.codomain))
+    d_l2 = lp_norm(Vector(pipe.stage_d1.diag, pipe.stage_d1.codomain))
 
     certs = [
         SummingCertificate(
@@ -255,14 +248,12 @@ exponent_budget = ParameterTriple.from_p
 
 
 def pipeline_to_json(pipe: Pipeline) -> dict:
+    """Pipeline JSON, format 2: A and B as dense matrices, every diagonal
+    stage once, as its ``diagonal``."""
     return {
+        "format": 2,
         "triple": pipe.triple.as_dict(),
-        "mu": [float(x) for x in pipe.mu],
-        "diagonals": {
-            "d_one_minus_s": [float(x) for x in np.diag(pipe.stage_d1ms.matrix)],
-            "d_half_s_1": [float(x) for x in np.diag(pipe.stage_d1.matrix)],
-            "d_half_s_2": [float(x) for x in np.diag(pipe.stage_d2.matrix)],
-        },
+        "mu": pipe.mu.tolist(),
         "stages": {
             "A": operator_to_json(pipe.stage_a),
             "D_one_minus_s": operator_to_json(pipe.stage_d1ms),

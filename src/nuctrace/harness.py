@@ -6,12 +6,8 @@ The random source is numpy's PCG64 generator seeded through
 ``SeedSequence`` tuples, so streams are documented, portable and
 deterministic across platforms.  Every suite case owns the stream
 ``SeedSequence((seed, case_index))`` and every family draw at truncation
-``N`` owns ``SeedSequence((seed, N))``; parallel and serial runs therefore
-produce identical reports.  ``GLT_THREADS`` (a positive integer) caps
-case-level parallelism; report rows are assembled in case order no matter
-how the cases were scheduled.  Threads pay off only when cases are
-dominated by large eigensolves (which release the GIL); small-case
-configs run fastest serially.
+``N`` owns ``SeedSequence((seed, N))``, so a case does not depend on the
+cases run before it.  Cases run serially, in case order.
 
 Suite data files are byte-stable for a fixed (config, seed): wall-clock
 metadata goes to a separate ``*_meta.json`` file that comparisons exclude.
@@ -23,10 +19,8 @@ import dataclasses
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -36,11 +30,10 @@ from .nuclear import (
     NuclearRep,
     SchemeNotApplicableError,
     adjoint_rep,
-    assemble,
     nuclear_trace,
     rewrite_equivalent,
 )
-from .seqspace import MAX_DIM, conjugate_tag, lp, row_norms
+from .seqspace import MAX_DIM, conjugate_tag, json_object, lp, row_norms
 from .spectra import (
     RESIDUAL_BUDGET,
     ladder_csv,
@@ -141,15 +134,21 @@ def config_to_json(config: ExperimentConfig) -> dict:
     }
 
 
-def config_from_json(data: dict) -> ExperimentConfig:
+def config_from_json(data) -> ExperimentConfig:
+    """The config stored by :func:`config_to_json`; malformed data raises a
+    one-line ``ValueError``."""
+    json_object(data, "config", "p", "family", "decay", "ladder", "seed")
+    decay = json_object(data["decay"], "config decay", "exponent_multiplier", "term_count")
+    tol = json_object(data.get("tolerances", {}), "config tolerances")
+    if not isinstance(data["ladder"], list):
+        raise ValueError("config ladder must be a JSON array")
     try:
-        tol = data.get("tolerances", {})
         return ExperimentConfig(
             p=Exponent(data["p"]),
             family=data["family"],
             decay=DecayProfile(
-                exponent_multiplier=float(data["decay"]["exponent_multiplier"]),
-                term_count=int(data["decay"]["term_count"]),
+                exponent_multiplier=float(decay["exponent_multiplier"]),
+                term_count=int(decay["term_count"]),
             ),
             ladder=tuple(int(n) for n in data["ladder"]),
             seed=int(data["seed"]),
@@ -160,8 +159,8 @@ def config_from_json(data: dict) -> ExperimentConfig:
             out_dir=str(data.get("out_dir", ".")),
             cases_per_level=int(data.get("cases_per_level", 25)),
         )
-    except KeyError as exc:
-        raise ValueError(f"config is missing required field {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
 
 
 # --- deterministic stream derivation ----------------------------------------
@@ -173,27 +172,6 @@ def _generator(*entropy: int) -> np.random.Generator:
 
 def _case_seed(seed: int, case_index: int) -> int:
     return int(np.random.SeedSequence((seed, case_index)).generate_state(1, np.uint64)[0])
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("GLT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"GLT_THREADS must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"GLT_THREADS must be a positive integer, got {workers}")
-    return workers
-
-
-def _map_cases(fn: Callable[[int], dict], n_cases: int) -> list[dict]:
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(i) for i in range(n_cases)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_cases)))
 
 
 # --- generators ---------------------------------------------------------------
@@ -281,8 +259,9 @@ class SuiteReport:
 
 
 def _finish(suite: str, config: ExperimentConfig, cases: list, started: float) -> SuiteReport:
+    """Tally the cases, write the report files and return the report."""
     failed = sum(1 for c in cases if c.get("status") == "fail")
-    return SuiteReport(
+    report = SuiteReport(
         suite=suite,
         config=config,
         cases=cases,
@@ -290,6 +269,8 @@ def _finish(suite: str, config: ExperimentConfig, cases: list, started: float) -
         failed=failed,
         duration_seconds=time.monotonic() - started,
     )
+    write_suite_report(report, config.out_dir)
+    return report
 
 
 def _dump_json(data: dict, path: Path) -> None:
@@ -310,8 +291,17 @@ def write_suite_report(report: SuiteReport, out_dir: str | os.PathLike) -> list[
     return [data_path, meta_path]
 
 
-def _case_config(config: ExperimentConfig, case_index: int) -> ExperimentConfig:
-    return dataclasses.replace(config, seed=_case_seed(config.seed, case_index))
+def _run_cases(suite: str, config: ExperimentConfig, one_case) -> SuiteReport:
+    """Call ``one_case(i, level, case config, rep)`` for every case, in case
+    order, and finish the suite with the returned rows.  A case's rep and
+    everything built from it are released before the next case is drawn."""
+    started = time.monotonic()
+    cases = []
+    for i in range(len(config.ladder) * config.cases_per_level):
+        level = config.ladder[i // config.cases_per_level]
+        case_cfg = dataclasses.replace(config, seed=_case_seed(config.seed, i))
+        cases.append(one_case(i, level, case_cfg, generate_family(case_cfg, level)))
+    return _finish(suite, config, cases, started)
 
 
 def _rewrite_chain(rep: NuclearRep, steps: int, rng: np.random.Generator):
@@ -328,13 +318,8 @@ def _rewrite_chain(rep: NuclearRep, steps: int, rng: np.random.Generator):
 
 def run_trace_suite(config: ExperimentConfig) -> SuiteReport:
     """Trace invariance under rewrite chains, plus the spectral residual gate."""
-    started = time.monotonic()
-    levels = config.ladder
 
-    def one_case(i: int) -> dict:
-        level = levels[i // config.cases_per_level]
-        case_cfg = _case_config(config, i)
-        rep = generate_family(case_cfg, level)
+    def one_case(i: int, level: int, case_cfg: ExperimentConfig, rep: NuclearRep) -> dict:
         mu_sum = float(rep.mu.sum())
         trace_budget = config.tolerances.trace * (1.0 + mu_sum)
         residual_budget = RESIDUAL_BUDGET * (1.0 + mu_sum)
@@ -357,21 +342,13 @@ def run_trace_suite(config: ExperimentConfig) -> SuiteReport:
             "status": "pass" if ok else "fail",
         }
 
-    cases = _map_cases(one_case, len(levels) * config.cases_per_level)
-    report = _finish("trace", config, cases, started)
-    write_suite_report(report, config.out_dir)
-    return report
+    return _run_cases("trace", config, one_case)
 
 
 def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
     """Pipeline reconstruction and exact exponent chains, case by case."""
-    started = time.monotonic()
-    levels = config.ladder
 
-    def one_case(i: int) -> dict:
-        level = levels[i // config.cases_per_level]
-        case_cfg = _case_config(config, i)
-        rep = generate_family(case_cfg, level)
+    def one_case(i: int, level: int, case_cfg: ExperimentConfig, rep: NuclearRep) -> dict:
         row: dict = {"case": i, "level": level, "p": str(rep.ambient.p)}
         if rep.ambient.p < 2:
             rep = adjoint_rep(rep)
@@ -382,9 +359,8 @@ def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
             row["status"] = "skipped-degenerate"
             row["detail"] = str(exc)
             return row
-        target = assemble(rep).matrix
-        recon_err = float(np.linalg.norm(pipe.composed().matrix - target))
-        budget = config.tolerances.reconstruction * (1.0 + float(np.linalg.norm(target)))
+        recon_err = pipe.reconstruction_error
+        budget = config.tolerances.reconstruction * (1.0 + pipe.target_norm)
         certs = summing_certificates(pipe)
         chain_exact = check_holder_chain([c.exponent for c in certs])
         row.update(
@@ -399,10 +375,7 @@ def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
         )
         return row
 
-    cases = _map_cases(one_case, len(levels) * config.cases_per_level)
-    report = _finish("factorize", config, cases, started)
-    write_suite_report(report, config.out_dir)
-    return report
+    return _run_cases("factorize", config, one_case)
 
 
 def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
@@ -445,6 +418,4 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
         )
     else:
         cases.append({"check": "gap_report", "gaps": gaps, "status": "pass"})
-    report = _finish("ladder", config, cases, started)
-    write_suite_report(report, config.out_dir)
-    return report
+    return _finish("ladder", config, cases, started)

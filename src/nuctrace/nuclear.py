@@ -24,8 +24,8 @@ from .seqspace import (
     DenseOperator,
     SpaceMismatchError,
     SpaceTag,
-    Vector,
     conjugate_tag,
+    json_object,
     lp,
     row_norms,
 )
@@ -152,13 +152,6 @@ class NuclearRep:
     def vectors(self) -> np.ndarray:
         """Row k holds the coordinates of the k-th unit vector."""
         return self._vec
-
-    def term(self, k: int) -> tuple[float, Vector, Vector]:
-        return (
-            float(self._mu[k]),
-            Vector(self._fun[k], self.conjugate),
-            Vector(self._vec[k], self.ambient),
-        )
 
     def raw_terms(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
         return [
@@ -364,22 +357,25 @@ def rep_to_json(rep: NuclearRep) -> dict:
         "ambient": {"p": str(rep.ambient.p), "dim": rep.ambient.dim},
         "order_s": str(rep.order),
         "terms": [
-            {
-                "mu": float(mu),
-                "functional": [float(x) for x in f],
-                "vector": [float(x) for x in v],
-            }
-            for mu, f, v in rep.raw_terms()
+            {"mu": mu, "functional": f, "vector": v}
+            for mu, f, v in zip(rep.mu.tolist(), rep.functionals.tolist(), rep.vectors.tolist())
         ],
     }
 
 
-def rep_from_json(data: dict) -> NuclearRep:
-    ambient = lp(data["ambient"]["p"], int(data["ambient"]["dim"]))
-    terms = [
-        (t["mu"], np.asarray(t["functional"], dtype=np.float64),
-         np.asarray(t["vector"], dtype=np.float64))
-        for t in data["terms"]
-    ]
-    order = OrderExponent(data["order_s"]) if "order_s" in data else None
+def rep_from_json(data) -> NuclearRep:
+    """The rep stored by :func:`rep_to_json`; malformed data raises a
+    one-line ``ValueError``."""
+    json_object(data, "representation", "ambient", "terms")
+    space = json_object(data["ambient"], "representation ambient", "p", "dim")
+    try:
+        ambient = lp(space["p"], int(space["dim"]))
+        order = OrderExponent(data["order_s"]) if "order_s" in data else None
+        terms = []
+        for t in data["terms"]:
+            json_object(t, "representation term", "mu", "functional", "vector")
+            terms.append((float(t["mu"]), np.asarray(t["functional"], dtype=np.float64),
+                          np.asarray(t["vector"], dtype=np.float64)))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed representation: {exc}") from exc
     return NuclearRep(ambient, terms, order=order)

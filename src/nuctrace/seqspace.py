@@ -8,8 +8,9 @@ requires exact tag equality at every junction, which turns wiring mistakes
 in multi-stage factorizations into immediate errors instead of silently
 wrong numbers.
 
-Vectors and dense operators are immutable float64 arrays tagged with their
-spaces.  Truncation levels are capped at 4096; everything is dense.
+Vectors and operators are immutable float64 arrays tagged with their
+spaces; truncation levels are capped at 4096.  A diagonal operator is stored
+as its diagonal, which :func:`compose` applies by scaling rows.
 
 :func:`row_norms` takes the norm of every row of a ``(k, dim)`` array in
 one pass; :func:`lp_norm` is its one-row case, so the library has a single
@@ -31,6 +32,7 @@ __all__ = [
     "SpaceTag",
     "Vector",
     "DenseOperator",
+    "DiagonalOperator",
     "lp",
     "c0",
     "linf",
@@ -43,6 +45,7 @@ __all__ = [
     "compose",
     "identity_injection",
     "diagonal_operator",
+    "json_object",
     "tag_to_json",
     "tag_from_json",
     "vector_to_json",
@@ -140,9 +143,28 @@ class DenseOperator:
             )
         object.__setattr__(self, "matrix", _freeze(m))
 
+
+@dataclass(frozen=True)
+class DiagonalOperator:
+    """A diagonal operator between two tags of equal truncation, stored as
+    its diagonal; ``matrix`` builds the dense form on each read."""
+
+    diag: np.ndarray
+    domain: SpaceTag
+    codomain: SpaceTag
+
+    def __post_init__(self):
+        d = np.array(self.diag, dtype=np.float64, copy=True)
+        if d.ndim != 1 or not self.domain.dim == self.codomain.dim == d.shape[0]:
+            raise SpaceMismatchError("diagonal length must match both truncations")
+        object.__setattr__(self, "diag", _freeze(d))
+
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    def matrix(self) -> np.ndarray:
+        return _freeze(np.diag(self.diag))
+
+
+Operator = DenseOperator | DiagonalOperator
 
 
 def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
@@ -191,14 +213,18 @@ def normalize(v: Vector) -> Vector:
     return Vector(v.coords / nrm, v.space)
 
 
-def apply(op: DenseOperator, v: Vector) -> Vector:
+def apply(op: Operator, v: Vector) -> Vector:
     if v.space != op.domain:
         raise SpaceMismatchError(f"vector in {v.space} fed to operator on {op.domain}")
     return Vector(op.matrix @ v.coords, op.codomain)
 
 
-def compose(ops: Sequence[DenseOperator]) -> DenseOperator:
-    """Compose stages listed in application order (first applied first)."""
+def compose(ops: Sequence[Operator]) -> DenseOperator:
+    """Compose stages listed in application order (first applied first).
+
+    A diagonal stage scales the rows of the running product, which gives
+    bit for bit the product with its dense matrix.
+    """
     if not ops:
         raise ValueError("compose needs at least one operator")
     for i in range(len(ops) - 1):
@@ -209,28 +235,40 @@ def compose(ops: Sequence[DenseOperator]) -> DenseOperator:
             )
     product = ops[0].matrix
     for op in ops[1:]:
-        product = op.matrix @ product
+        if isinstance(op, DiagonalOperator):
+            product = op.diag[:, None] * product
+        else:
+            product = op.matrix @ product
     return DenseOperator(product, ops[0].domain, ops[-1].codomain)
 
 
-def identity_injection(domain: SpaceTag, codomain: SpaceTag) -> DenseOperator:
+def identity_injection(domain: SpaceTag, codomain: SpaceTag) -> DiagonalOperator:
     """The formal identity between two tags of equal truncation."""
     if domain.dim != codomain.dim:
         raise SpaceMismatchError("identity injection needs equal truncations")
-    return DenseOperator(np.eye(domain.dim), domain, codomain)
+    return DiagonalOperator(np.ones(domain.dim), domain, codomain)
 
 
-def diagonal_operator(diag, domain: SpaceTag, codomain: SpaceTag) -> DenseOperator:
-    d = np.asarray(diag, dtype=np.float64).reshape(-1)
-    if not domain.dim == codomain.dim == d.shape[0]:
-        raise SpaceMismatchError("diagonal length must match both truncations")
-    return DenseOperator(np.diag(d), domain, codomain)
+def diagonal_operator(diag, domain: SpaceTag, codomain: SpaceTag) -> DiagonalOperator:
+    return DiagonalOperator(np.asarray(diag, dtype=np.float64).reshape(-1), domain, codomain)
 
 
 # --- JSON interchange -------------------------------------------------------
 #
 # Vectors and matrices travel as plain JSON arrays (row-major for matrices)
-# next to their tags; this is the format the CLI imports and exports.
+# next to their tags, a diagonal operator as its diagonal; this is the format
+# the CLI imports and exports.
+
+
+def json_object(data, where: str, *required: str) -> dict:
+    """``data`` if it is a JSON object holding every ``required`` key;
+    otherwise a one-line ``ValueError`` that names ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where} is missing required field {key!r}")
+    return data
 
 
 def tag_to_json(tag: SpaceTag) -> dict:
@@ -248,24 +286,24 @@ def tag_from_json(data: dict) -> SpaceTag:
 
 
 def vector_to_json(v: Vector) -> dict:
-    return {"space": tag_to_json(v.space), "coords": [float(x) for x in v.coords]}
+    return {"space": tag_to_json(v.space), "coords": v.coords.tolist()}
 
 
 def vector_from_json(data: dict) -> Vector:
     return Vector(np.asarray(data["coords"], dtype=np.float64), tag_from_json(data["space"]))
 
 
-def operator_to_json(op: DenseOperator) -> dict:
-    return {
-        "domain": tag_to_json(op.domain),
-        "codomain": tag_to_json(op.codomain),
-        "matrix": [[float(x) for x in row] for row in op.matrix],
-    }
+def operator_to_json(op: Operator) -> dict:
+    out = {"domain": tag_to_json(op.domain), "codomain": tag_to_json(op.codomain)}
+    if isinstance(op, DiagonalOperator):
+        out["diagonal"] = op.diag.tolist()
+    else:
+        out["matrix"] = op.matrix.tolist()
+    return out
 
 
-def operator_from_json(data: dict) -> DenseOperator:
-    return DenseOperator(
-        np.asarray(data["matrix"], dtype=np.float64),
-        tag_from_json(data["domain"]),
-        tag_from_json(data["codomain"]),
-    )
+def operator_from_json(data: dict) -> Operator:
+    domain, codomain = tag_from_json(data["domain"]), tag_from_json(data["codomain"])
+    if "diagonal" in data:
+        return DiagonalOperator(np.asarray(data["diagonal"], dtype=np.float64), domain, codomain)
+    return DenseOperator(np.asarray(data["matrix"], dtype=np.float64), domain, codomain)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nuctrace import NuclearRep, cli_main, lp, rep_to_json
+from nuctrace import NuclearRep, cli_main, config_from_json, lp, rep_from_json, rep_to_json
 
 from conftest import make_rng, random_rep
 
@@ -82,6 +84,98 @@ class TestSpectrumCommand:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "Traceback" not in captured.err and "eigensolver" not in captured.err
+
+
+MALFORMED = {
+    "rep_term_without_functional": (
+        "spectrum",
+        {"ambient": {"p": "2", "dim": 2}, "terms": [{"mu": 1.0, "vector": [1.0, 0.0]}]},
+    ),
+    "rep_top_level_list": ("spectrum", [{"mu": 1.0}]),
+    "config_decay_number": (
+        "suite",
+        {"p": "2", "family": "random_unit", "decay": 5, "ladder": [4, 6, 8], "seed": 1},
+    ),
+    "config_top_level_list": ("suite", ["p", "2"]),
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_2_with_one_line(self, name, tmp_path, capsys):
+        command, data = MALFORMED[name]
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(data))
+        flag = "--config" if command == "suite" else "--rep"
+        assert cli_main([command, flag, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_REP = {
+    "ambient": {"p": "3", "dim": 2},
+    "order_s": "6/7",
+    "terms": [{"mu": 1.0, "functional": [1.0, 0.5], "vector": [0.0, 2.0]}],
+}
+VALID_CONFIG = {
+    "p": "2",
+    "family": "diagonal",
+    "decay": {"exponent_multiplier": 1.1, "term_count": 4},
+    "ladder": [4, 8],
+    "seed": 1,
+    "tolerances": {"reconstruction": 1e-10, "trace": 1e-10},
+    "out_dir": "out",
+    "cases_per_level": 2,
+}
+
+
+def _mutated(valid):
+    """``valid`` with one field, at any depth, replaced by an arbitrary JSON value."""
+
+    def paths(node, prefix=()):
+        yield prefix
+        children = ()
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, list):
+            children = enumerate(node)
+        for key, child in children:
+            yield from paths(child, prefix + (key,))
+
+    def replace(node, path, value):
+        if not path:
+            return value
+        node = json.loads(json.dumps(node))
+        node[path[0]] = replace(node[path[0]], path[1:], value)
+        return node
+
+    return st.builds(replace, st.just(valid), st.sampled_from(list(paths(valid))), JSON_VALUES)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(JSON_VALUES, _mutated(VALID_REP)))
+    def test_rep_loader_raises_only_value_error(self, data):
+        try:
+            rep_from_json(data)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(JSON_VALUES, _mutated(VALID_CONFIG)))
+    def test_config_loader_raises_only_value_error(self, data):
+        try:
+            config_from_json(data)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
 
 
 class TestFactorizeCommand:

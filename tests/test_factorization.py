@@ -221,4 +221,5 @@ class TestPipelineJson:
         assert data["mu"] == [1.0, 0.5]
         assert set(data["stages"]) == {"A", "D_one_minus_s", "J", "D1", "D2", "B"}
         assert len(data["certificates"]) == 3
-        assert data["diagonals"]["d_half_s_1"] == data["diagonals"]["d_half_s_2"]
+        assert data["stages"]["D1"]["diagonal"] == data["stages"]["D2"]["diagonal"]
+        assert data["format"] == 2

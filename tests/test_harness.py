@@ -220,23 +220,6 @@ class TestDeterminismAndParallelism:
         for name in ("trace_report.json", "factorize_report.json", "ladder_report.json", "ladder.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_parallel_equals_serial(self, tmp_path, monkeypatch):
-        serial = run_trace_suite(small_config(tmp_path / "serial"))
-        monkeypatch.setenv("GLT_THREADS", "4")
-        parallel = run_trace_suite(small_config(tmp_path / "parallel"))
-        assert serial.cases == parallel.cases
-        assert (tmp_path / "serial" / "trace_report.json").read_bytes() == (
-            tmp_path / "parallel" / "trace_report.json"
-        ).read_bytes()
-
-    def test_invalid_thread_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GLT_THREADS", "zero")
-        with pytest.raises(ValueError, match="GLT_THREADS"):
-            run_trace_suite(small_config(tmp_path))
-        monkeypatch.setenv("GLT_THREADS", "0")
-        with pytest.raises(ValueError, match="GLT_THREADS"):
-            run_trace_suite(small_config(tmp_path))
-
     def test_suite_order_does_not_matter(self, tmp_path):
         cfg1 = small_config(tmp_path / "fwd")
         run_trace_suite(cfg1)

@@ -1,8 +1,10 @@
-"""The array-native rep core against the per-term loop it replaced.
+"""The array-native rep core against the per-term loop it replaced, and the
+diagonal-stage pipeline against the dense chain it replaced.
 
-The reference functions below are the original list-based implementations
-(a Python loop over terms, one norm per vector); the library must agree
-with them bit for bit, so every comparison is ``np.array_equal``.
+The reference functions below are the original implementations (a Python
+loop over terms, one norm per vector; k x k ``np.diag`` stages multiplied
+by matmul); the library must agree with them bit for bit, so every
+comparison is ``np.array_equal`` or ``==``.
 """
 
 import numpy as np
@@ -10,12 +12,16 @@ import pytest
 
 from nuctrace import (
     NuclearRep,
+    ParameterTriple,
     adjoint_rep,
+    assemble,
+    build_pipeline,
     conjugate_tag,
     generate_family,
     lp,
     rewrite_equivalent,
     row_norms,
+    split_diagonal,
 )
 from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights, _generator
@@ -293,3 +299,39 @@ def test_generate_family_matches_sequential_draws(p, term_count):
         rep = generate_family(config, 16)
         assert_same(rep, ref)
         assert rep.order == s_from_p(ambient.p)
+
+
+def ref_pipeline_chain(pipe, rep):
+    """The dense chain: each diagonal stage a k x k ``np.diag`` (the identity
+    ``np.eye``), the product of all six stages formed by matmul."""
+    triple = ParameterTriple.from_p(rep.ambient.p)
+    d1, d2 = split_diagonal(rep.mu, triple.s)
+    stages = [
+        np.diag(np.power(rep.mu, 1.0 - float(triple.s))),
+        np.eye(len(rep)),
+        np.diag(d1),
+        np.diag(d2),
+        pipe.stage_b.matrix,
+    ]
+    product = pipe.stage_a.matrix
+    for m in stages:
+        product = m @ product
+    return product
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("family", ("diagonal", "random_unit", "shared_functional_rotations"))
+def test_pipeline_matches_dense_chain(p, family):
+    for n in (16, 64, 200, 512):
+        config = ExperimentConfig(
+            p=p, family=family, decay=DecayProfile(1.1, n), ladder=(n,), seed=n
+        )
+        rep = generate_family(config, n)
+        if rep.ambient.p < 2:
+            rep = adjoint_rep(rep)
+        pipe = build_pipeline(rep)
+        ref = ref_pipeline_chain(pipe, rep)
+        assert np.array_equal(pipe.composed().matrix, ref)
+        target = assemble(rep).matrix
+        assert pipe.reconstruction_error == float(np.linalg.norm(ref - target))
+        assert pipe.target_norm == float(np.linalg.norm(target))

@@ -3,6 +3,7 @@ import pytest
 
 from nuctrace import (
     DenseOperator,
+    DiagonalOperator,
     SpaceMismatchError,
     Vector,
     apply,
@@ -163,6 +164,10 @@ class TestOperators:
         a = diagonal_operator([1.0, 2.0, 3.0], tag, tag)
         b = diagonal_operator([4.0, 5.0, 6.0], tag, tag)
         assert np.allclose(compose([a, b]).matrix, np.diag([4.0, 10.0, 18.0]))
+        m = make_rng(56).standard_normal((3, 3))
+        dense_first = compose([DenseOperator(m, tag, tag), a, b])
+        assert isinstance(dense_first, DenseOperator)
+        assert np.array_equal(dense_first.matrix, b.matrix @ (a.matrix @ m))
 
     def test_compose_names_offending_junction(self):
         t1, t2 = lp(2, 2), lp(3, 2)
@@ -187,6 +192,17 @@ class TestOperators:
         with pytest.raises(SpaceMismatchError):
             identity_injection(lp(2, 3), c0(4))
 
+    def test_diagonal_operator_stores_its_diagonal(self):
+        op = diagonal_operator([2.0, 3.0], c0(2), lp(2, 2))
+        assert isinstance(op, DiagonalOperator)
+        assert np.array_equal(op.diag, [2.0, 3.0]) and not op.diag.flags.writeable
+        assert np.array_equal(op.matrix, np.diag([2.0, 3.0]))
+        assert np.array_equal(identity_injection(lp(2, 2), c0(2)).matrix, np.eye(2))
+        with pytest.raises(SpaceMismatchError):
+            DiagonalOperator(np.ones(3), c0(2), c0(2))
+        with pytest.raises(SpaceMismatchError):
+            DiagonalOperator(np.ones((2, 2)), c0(2), c0(2))
+
 
 class TestJson:
     def test_vector_roundtrip(self):
@@ -202,3 +218,12 @@ class TestJson:
         again = operator_from_json(data)
         assert again.domain == op.domain and again.codomain == op.codomain
         assert np.array_equal(again.matrix, op.matrix)
+
+    def test_diagonal_operator_roundtrip(self):
+        op = diagonal_operator([0.5, -2.0], linf(2), lp("3/2", 2))
+        data = operator_to_json(op)
+        assert data["diagonal"] == [0.5, -2.0] and "matrix" not in data
+        again = operator_from_json(data)
+        assert isinstance(again, DiagonalOperator)
+        assert again.domain == op.domain and again.codomain == op.codomain
+        assert np.array_equal(again.diag, op.diag)
