@@ -148,19 +148,26 @@ def config_from_json(data) -> ExperimentConfig:
             family=data["family"],
             decay=DecayProfile(
                 exponent_multiplier=float(decay["exponent_multiplier"]),
-                term_count=int(decay["term_count"]),
+                term_count=_json_int(decay["term_count"], "term_count"),
             ),
-            ladder=tuple(int(n) for n in data["ladder"]),
-            seed=int(data["seed"]),
+            ladder=tuple(_json_int(n, "ladder entry") for n in data["ladder"]),
+            seed=_json_int(data["seed"], "seed"),
             tolerances=Tolerances(
                 reconstruction=float(tol.get("reconstruction", 1e-10)),
                 trace=float(tol.get("trace", 1e-10)),
             ),
             out_dir=str(data.get("out_dir", ".")),
-            cases_per_level=int(data.get("cases_per_level", 25)),
+            cases_per_level=_json_int(data.get("cases_per_level", 25), "cases_per_level"),
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {what} must be an integer, got {value!r}")
+    return value
 
 
 # --- deterministic stream derivation ----------------------------------------

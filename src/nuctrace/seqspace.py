@@ -125,6 +125,8 @@ class Vector:
             raise ValueError(
                 f"coordinates of shape {coords.shape} do not match {self.space}"
             )
+        if not np.isfinite(coords).all():
+            raise ValueError(f"coordinates in {self.space} must be finite")
         object.__setattr__(self, "coords", _freeze(coords))
 
 

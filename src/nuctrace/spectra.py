@@ -1,8 +1,14 @@
-"""Dense spectra of assembled representations and summability diagnostics.
+"""Dense spectra of finite representations and summability diagnostics.
 
 The eigensolver contract is a full backward-stable dense spectrum with
 algebraic multiplicities; the LAPACK solver behind ``numpy.linalg`` meets
-it.  Reports order eigenvalues by nonincreasing modulus with ties broken by
+it.  A rep with ``k`` terms on an ``n``-dimensional truncation is solved on
+the smaller of two matrices.  When ``k >= n`` it is the assembled ``n x n``
+matrix.  When ``k < n`` it is the ``k x k`` coefficient matrix
+``M_ij = mu_j <f_i, v_j>``, whose nonzero eigenvalues are those of
+``T = sum_k mu_k v_k f_k^T`` with algebraic multiplicity (``M = F V^T D``
+and ``T = V^T D F`` with ``D = diag(mu)``), padded by ``n - k`` exact zeros.
+Reports order eigenvalues by nonincreasing modulus with ties broken by
 ascending principal argument in (-pi, pi] (zero modulus sorts last, with
 argument 0), so repeated runs produce identical files.
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .exponents import OrderExponent
 from .nuclear import NuclearRep, assemble, nuclear_trace
-from .seqspace import DenseOperator
+from .seqspace import DenseOperator, lp
 
 __all__ = [
     "EigensolverError",
@@ -85,20 +91,39 @@ class SpectralReport:
         }
 
 
+def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, float]:
+    """The rep's ``n`` eigenvalues in report order, and the trace of the
+    matrix that was solved (see the module docstring for which one)."""
+    n, k = rep.ambient.dim, len(rep)
+    if k >= n:
+        op = assemble(rep)
+        return eigen_spectrum(op), float(np.trace(op.matrix))
+    ev, matrix_trace = np.zeros(0), 0.0
+    if k > 0:
+        tag = lp(rep.ambient.p, k)
+        op = DenseOperator((rep.functionals @ rep.vectors.T) * rep.mu[None, :], tag, tag)
+        ev, matrix_trace = eigen_spectrum(op), float(np.trace(op.matrix))
+    # zero modulus sorts last, so the padded spectrum stays in report order
+    ev = np.concatenate([ev, np.zeros(n - k, dtype=ev.dtype)])
+    ev.flags.writeable = False
+    return ev, matrix_trace
+
+
 def spectral_report(rep: NuclearRep) -> SpectralReport:
-    """Solve the assembled truncation and compare its trace data.
+    """Solve the rep's spectrum and compare its trace data.
 
     ``lidskii_residual`` is the distance between the representation trace
     ``sum mu_k <f_k, v_k>`` and the eigenvalue sum; in finite dimensions it
     can only be eigensolver noise, which is exactly why it is the quantity
-    worth watching as truncations grow.
+    worth watching as truncations grow.  ``matrix_trace`` is the trace of
+    the matrix solved, a matmul-based value independent of the einsum in
+    :func:`nuclear_trace`.
     """
-    op = assemble(rep)
-    ev = eigen_spectrum(op)
+    ev, matrix_trace = _spectrum(rep)
     eigen_sum = complex(ev.sum())
     return SpectralReport(
         eigenvalues=ev,
-        matrix_trace=float(np.trace(op.matrix)),
+        matrix_trace=matrix_trace,
         eigen_sum=eigen_sum,
         abs_sum=float(np.abs(ev).sum()),
         lidskii_residual=abs(nuclear_trace(rep) - eigen_sum),
@@ -114,10 +139,9 @@ def weyl_check(rep: NuclearRep) -> dict:
     most ``sum mu_k``; this is the desk-scale shadow of absolute eigenvalue
     summability for the represented class.
     """
-    op = assemble(rep)
-    ev = eigen_spectrum(op)
+    ev, _ = _spectrum(rep)
     try:
-        sv = np.linalg.svd(op.matrix, compute_uv=False)
+        sv = np.linalg.svd(assemble(rep).matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"singular value solve failed: {exc}") from exc
     abs_sum = float(np.abs(ev).sum())

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nuctrace
 from nuctrace import NuclearRep, cli_main, config_from_json, lp, rep_from_json, rep_to_json
 
 from conftest import make_rng, random_rep
@@ -86,6 +91,13 @@ class TestSpectrumCommand:
             assert "Traceback" not in captured.err and "eigensolver" not in captured.err
 
 
+CONFIG = {
+    "p": "2",
+    "family": "random_unit",
+    "decay": {"exponent_multiplier": 1.1, "term_count": 4},
+    "ladder": [16, 32, 64],
+    "seed": 1,
+}
 MALFORMED = {
     "rep_term_without_functional": (
         "spectrum",
@@ -97,6 +109,15 @@ MALFORMED = {
         {"p": "2", "family": "random_unit", "decay": 5, "ladder": [4, 6, 8], "seed": 1},
     ),
     "config_top_level_list": ("suite", ["p", "2"]),
+    # integer fields given as a fraction, a string or a boolean are rejected, not truncated
+    "config_ladder_fraction_and_string": ("suite", {**CONFIG, "ladder": [16.9, "32", 64]}),
+    "config_seed_fraction": ("suite", {**CONFIG, "seed": 1.7}),
+    "config_seed_boolean": ("suite", {**CONFIG, "seed": True}),
+    "config_cases_per_level_fraction": ("suite", {**CONFIG, "cases_per_level": 2.5}),
+    "config_term_count_string": (
+        "suite",
+        {**CONFIG, "decay": {"exponent_multiplier": 1.1, "term_count": "4"}},
+    ),
 }
 
 
@@ -246,3 +267,19 @@ class TestSuiteCommand:
 
     def test_bad_only_value_exits_2(self, config_file, capsys):
         assert cli_main(["suite", "--config", str(config_file), "--only", "nope"]) == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_nuctrace_runs_the_cli(self):
+        src = str(Path(nuctrace.__file__).resolve().parents[1])
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        proc = subprocess.run(
+            [sys.executable, "-m", "nuctrace", "exponents", "--p", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {"p": "2", "s": "1", "r": "inf"}

@@ -1,32 +1,43 @@
-"""The array-native rep core against the per-term loop it replaced, and the
-diagonal-stage pipeline against the dense chain it replaced.
+"""The array-native rep core against the per-term loop it replaced, the
+diagonal-stage pipeline against the dense chain it replaced, and the
+spectral report against the assembled-matrix eigensolve it replaced.
 
 The reference functions below are the original implementations (a Python
 loop over terms, one norm per vector; k x k ``np.diag`` stages multiplied
-by matmul); the library must agree with them bit for bit, so every
-comparison is ``np.array_equal`` or ``==``.
+by matmul; ``eigen_spectrum(assemble(rep))`` for every rep); the library
+must agree with them bit for bit, so every comparison is ``np.array_equal``
+or ``==``.  The one exception is the spectrum of a rep with fewer terms
+than dimensions, which is now solved on a smaller matrix and is compared
+within an eigensolver budget.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nuctrace import (
     NuclearRep,
     ParameterTriple,
+    SpectralReport,
     adjoint_rep,
     assemble,
     build_pipeline,
     conjugate_tag,
+    eigen_spectrum,
     generate_family,
     lp,
+    nuclear_trace,
     rewrite_equivalent,
     row_norms,
+    spectral_report,
     split_diagonal,
+    weyl_check,
 )
 from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights, _generator
 from nuctrace.nuclear import MU_FLOOR, _parallel_pairs, _rng, rotate_pair
 from nuctrace.seqspace import c0, linf
+from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
 from conftest import make_rng
 
@@ -335,3 +346,69 @@ def test_pipeline_matches_dense_chain(p, family):
         target = assemble(rep).matrix
         assert pipe.reconstruction_error == float(np.linalg.norm(ref - target))
         assert pipe.target_norm == float(np.linalg.norm(target))
+
+
+def ref_spectral_report(rep):
+    """The assembled-matrix report: one dense ``n x n`` eigensolve per rep."""
+    op = assemble(rep)
+    ev = eigen_spectrum(op)
+    eigen_sum = complex(ev.sum())
+    return SpectralReport(
+        eigenvalues=ev,
+        matrix_trace=float(np.trace(op.matrix)),
+        eigen_sum=eigen_sum,
+        abs_sum=float(np.abs(ev).sum()),
+        lidskii_residual=abs(nuclear_trace(rep) - eigen_sum),
+        dim=rep.ambient.dim,
+    )
+
+
+def rep_with_terms(p, family, n, k):
+    """A rep with exactly ``k`` terms on ``lp(p, n)``; ``k > n`` splits one
+    term of an ``n``-term family rep."""
+    if k == 0:
+        return NuclearRep(lp(p, n), [])
+    config = ExperimentConfig(
+        p=p, family=family, decay=DecayProfile(1.1, min(k, n)), ladder=(n,), seed=1000 * n + k
+    )
+    rep = generate_family(config, n)
+    if k > n:
+        rep = rewrite_equivalent(rep, "split", k)
+    assert len(rep) == k
+    return rep
+
+
+@pytest.mark.parametrize("p", (1, "4/3", 2, 3, "inf"))
+@pytest.mark.parametrize("family", ("diagonal", "random_unit", "shared_functional_rotations"))
+def test_spectral_report_matches_assembled_eigensolve(p, family):
+    for n in (1, 12, 40):
+        for k in sorted({0, 1, n - 1, n, n + 1}):
+            rep = rep_with_terms(p, family, n, k)
+            report, ref = spectral_report(rep), ref_spectral_report(rep)
+            assert weyl_check(rep)["abs_sum"] == report.abs_sum
+            if k >= n:
+                assert np.array_equal(report.eigenvalues, ref.eigenvalues)
+                for field in ("matrix_trace", "eigen_sum", "abs_sum", "lidskii_residual", "dim"):
+                    assert getattr(report, field) == getattr(ref, field)
+                continue
+            ev = report.eigenvalues
+            assert ev.shape == (n,) and report.dim == n
+            assert np.array_equal(ev, _sort_spectrum(ev))
+            assert not ev[k:].any()
+            tol = 1e-12 * (1.0 + rep.mu.sum())
+            # the two spectra agree as multisets: match them, then compare
+            dist = np.abs(ev[:, None] - ref.eigenvalues[None, :])
+            assert dist[linear_sum_assignment(dist)].max() <= tol
+            for field in ("matrix_trace", "eigen_sum", "abs_sum"):
+                assert abs(getattr(report, field) - getattr(ref, field)) <= tol
+            assert report.lidskii_residual <= RESIDUAL_BUDGET * (1.0 + rep.mu.sum())
+
+
+def test_rank_one_nilpotent_spectrum_is_exactly_zero():
+    # unit rows (1/2, 1/2) in l1 and (1, -1) in l-inf pair to exactly 0
+    f = np.array([1.0, 1.0, 0.0, 0.0])
+    v = np.array([1.0, -1.0, 0.0, 0.0])
+    report = spectral_report(NuclearRep(lp("inf", 4), [(0.75, f, v)]))
+    assert report.eigenvalues.shape == (4,) and not report.eigenvalues.any()
+    assert report.matrix_trace == report.abs_sum == report.lidskii_residual == 0.0
+    assert report.eigen_sum == 0

@@ -54,6 +54,12 @@ class TestTags:
         with pytest.raises(ValueError):
             v.coords[0] = 9.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vectors_reject_nonfinite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            Vector([bad, 1.0], lp(2, 2))
+        assert "\n" not in str(info.value)
+
 
 class TestNorms:
     def test_unit_coordinate_vector_in_any_space(self):
