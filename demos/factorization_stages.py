@@ -18,9 +18,8 @@ from nuctrace import (
     build_pipeline,
     conjugate_tag,
     lp,
-    lp_norm,
+    row_norms,
     summing_certificates,
-    Vector,
 )
 
 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1618)))
@@ -29,14 +28,11 @@ rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1618)))
 def demo(p, dim=12, n_terms=6):
     ambient = lp(p, dim)
     conj = conjugate_tag(ambient)
-    terms = []
-    for k in range(n_terms):
-        f = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        f = f / lp_norm(Vector(f, conj))
-        v = v / lp_norm(Vector(v, ambient))
-        terms.append(((k + 1.0) ** -1.5, f, v))
-    rep = NuclearRep(ambient, terms)
+    # rows drawn in term order f_0, v_0, f_1, v_1, ...
+    draws = rng.standard_normal((n_terms, 2, dim))
+    fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
+    vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
+    rep = NuclearRep(ambient, [(k + 1.0) ** -1.5 for k in range(n_terms)], fun, vec)
     if rep.ambient.p < 2:
         print(f"p = {rep.ambient.p}: below 2, factoring the transpose on the conjugate side")
         rep = adjoint_rep(rep)

@@ -15,6 +15,7 @@ from nuctrace import (
     lp,
     nuclear_trace,
     rewrite_equivalent,
+    row_norms,
     spectral_report,
 )
 
@@ -23,12 +24,11 @@ rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2718)))
 dim, n_terms = 24, 9
 ambient = lp(2, dim)
 conj = conjugate_tag(ambient)
-terms = []
-for k in range(n_terms):
-    f = rng.standard_normal(dim)
-    v = rng.standard_normal(dim)
-    terms.append(((k + 1.0) ** -1.3, f / np.linalg.norm(f), v / np.linalg.norm(v)))
-rep = NuclearRep(ambient, terms)
+# rows drawn in term order f_0, v_0, f_1, v_1, ...
+draws = rng.standard_normal((n_terms, 2, dim))
+fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
+vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
+rep = NuclearRep(ambient, [(k + 1.0) ** -1.3 for k in range(n_terms)], fun, vec)
 
 t0 = nuclear_trace(rep)
 print(f"start: {len(rep)} terms, trace = {t0:+.15f}")

@@ -40,8 +40,15 @@ _SUITES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage problem as a single ``error:`` line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nuctrace",
         description="nuclear representations, factorizations and spectral suites",
     )
@@ -126,7 +133,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse reports usage problems on stderr and exits 2 already
+        # usage problems are reported on stderr with exit 2 already
         return int(exc.code) if exc.code is not None else 0
     handlers = {
         "exponents": _cmd_exponents,

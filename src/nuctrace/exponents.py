@@ -81,9 +81,7 @@ class Exponent:
         recip = Fraction(recip)
         if not 0 <= recip <= 1:
             raise ValueError(f"reciprocal must lie in [0, 1], got {recip}")
-        e = cls.__new__(cls)
-        e._recip = recip
-        return e
+        return cls("inf") if recip == 0 else cls(1 / recip)
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":

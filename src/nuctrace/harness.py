@@ -61,6 +61,12 @@ FAMILIES = ("diagonal", "random_unit", "shared_functional_rotations")
 REWRITE_STEPS = 10
 
 
+def _is_int(value) -> bool:
+    """The integer rule of the config fields: a float, a string or a boolean
+    is rejected, not truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     """Weight decay ``mu_k = k^(-(1/s) * exponent_multiplier)`` over ``term_count`` terms."""
@@ -71,8 +77,8 @@ class DecayProfile:
     def __post_init__(self):
         if not self.exponent_multiplier >= 1.0:
             raise ValueError("exponent_multiplier must be >= 1 for summable weights")
-        if not isinstance(self.term_count, int) or self.term_count < 1:
-            raise ValueError("term_count must be a positive integer")
+        if not _is_int(self.term_count) or self.term_count < 1:
+            raise ValueError(f"term_count must be a positive integer, got {self.term_count!r}")
 
 
 @dataclass(frozen=True)
@@ -98,21 +104,26 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Exponent(self.p))
-        object.__setattr__(self, "ladder", tuple(int(n) for n in self.ladder))
+        object.__setattr__(self, "ladder", tuple(self.ladder))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick one of {FAMILIES}")
         if not self.ladder:
             raise ValueError("ladder must not be empty")
+        for n in self.ladder:
+            if not _is_int(n):
+                raise ValueError(f"ladder entries must be integers, got {n!r}")
         if any(n < 1 or n > MAX_DIM for n in self.ladder):
             raise ValueError(f"ladder entries must lie in [1, {MAX_DIM}]")
         if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("ladder must be strictly increasing")
         if self.decay.term_count > max(self.ladder):
             raise ValueError("term_count must not exceed the largest ladder entry")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if not isinstance(self.cases_per_level, int) or self.cases_per_level < 1:
-            raise ValueError("cases_per_level must be a positive integer")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not _is_int(self.cases_per_level) or self.cases_per_level < 1:
+            raise ValueError(
+                f"cases_per_level must be a positive integer, got {self.cases_per_level!r}"
+            )
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
@@ -148,26 +159,19 @@ def config_from_json(data) -> ExperimentConfig:
             family=data["family"],
             decay=DecayProfile(
                 exponent_multiplier=float(decay["exponent_multiplier"]),
-                term_count=_json_int(decay["term_count"], "term_count"),
+                term_count=decay["term_count"],
             ),
-            ladder=tuple(_json_int(n, "ladder entry") for n in data["ladder"]),
-            seed=_json_int(data["seed"], "seed"),
+            ladder=data["ladder"],
+            seed=data["seed"],
             tolerances=Tolerances(
                 reconstruction=float(tol.get("reconstruction", 1e-10)),
                 trace=float(tol.get("trace", 1e-10)),
             ),
             out_dir=str(data.get("out_dir", ".")),
-            cases_per_level=_json_int(data.get("cases_per_level", 25), "cases_per_level"),
+            cases_per_level=data.get("cases_per_level", 25),
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON integer; a float, a string or a boolean is rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {what} must be an integer, got {value!r}")
-    return value
 
 
 # --- deterministic stream derivation ----------------------------------------
@@ -208,7 +212,7 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
 
     if config.family == "diagonal":
         eye = np.eye(n)[:k_terms]
-        return NuclearRep.from_arrays(ambient, mu, eye, eye)
+        return NuclearRep(ambient, mu, eye, eye)
 
     def unit_rows(draws, tag):
         return draws / row_norms(draws, tag)[:, None]
@@ -216,7 +220,7 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     if config.family == "random_unit":
         # drawn in term order f_0, v_0, f_1, v_1, ...
         draws = rng.standard_normal((k_terms, 2, n))
-        return NuclearRep.from_arrays(
+        return NuclearRep(
             ambient, mu, unit_rows(draws[:, 0], conj), unit_rows(draws[:, 1], ambient)
         )
 
@@ -227,7 +231,7 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     fun = unit_rows(draws[3 * (terms // 2)], conj)
     vec = unit_rows(draws[3 * (terms // 2) + 1 + terms % 2], ambient)
     del draws
-    rep = NuclearRep.from_arrays(ambient, mu, fun, vec)
+    rep = NuclearRep(ambient, mu, fun, vec)
     if len(rep) >= 2:
         for _ in range(min(8, len(rep))):
             rep = rewrite_equivalent(rep, "rotate", int(rng.integers(2**63)))

@@ -5,9 +5,11 @@ A representation is a finite weighted sum of rank-one terms
     sum_k  mu_k * (f_k tensor v_k),
 
 with vectors ``v_k`` unit-normed in the ambient ``lp`` truncation and
-functionals ``f_k`` unit-normed in the conjugate tag.  The constructor
-enforces the unit-norm convention by absorbing all scales into ``mu``, so
-``mu`` is always the full weight of its term.
+functionals ``f_k`` unit-normed in the conjugate tag.  A rep is built from
+three arrays, the weights ``mu`` and the ``(k, dim)`` coordinate rows of the
+functionals and the vectors; the constructor enforces the unit-norm
+convention by absorbing all scales into ``mu``, so ``mu`` is always the full
+weight of its term.
 
 Rewrites (``split``, ``merge``, ``rotate``) change the term list while
 leaving the assembled matrix fixed to rounding error; they are the probes
@@ -63,56 +65,41 @@ class NuclearRep:
     ambient : SpaceTag
         Must be of kind ``lp``; domain and codomain of the represented
         operator coincide.
-    terms : iterable of (mu, functional_coords, vector_coords)
-        Weights may carry un-normalized data; norms are absorbed into mu.
+    mu : array_like, shape (k,)
+        Term weights; they may carry un-normalized data.
+    functionals, vectors : array_like, shape (k, dim)
+        Row ``k`` holds the coordinates of the k-th functional and vector
+        (arrays or nested lists).  Row norms are absorbed into ``mu``; the
+        inputs are not modified.
     order : OrderExponent, optional
         Defaults to the curve value ``s_from_p(ambient.p)``; override only
         for experiments that scan the order away from the curve.
 
-    Weights must be finite and nonnegative, coordinates and their norms
-    finite, and the total weight ``sum_k mu_k |f_k| |v_k|`` finite; anything
-    else raises ``ValueError`` before it can reach an eigensolver.
+    Terms lighter than ``MU_FLOOR`` are dropped and the rest sorted by
+    nonincreasing weight (stable).  Weights must be finite and nonnegative,
+    coordinates and their norms finite, and the total weight
+    ``sum_k mu_k |f_k| |v_k|`` finite; anything else raises ``ValueError``
+    before it can reach an eigensolver.
     """
 
     __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec")
 
-    def __init__(self, ambient: SpaceTag, terms, order: OrderExponent | None = None):
-        mus, funs, vecs = [], [], []
-        for mu, f_coords, v_coords in terms:
-            mus.append(float(mu))
-            funs.append(f_coords)
-            vecs.append(v_coords)
-        self._normalize(ambient, np.array(mus, dtype=np.float64), funs, vecs, order)
-
-    @classmethod
-    def from_arrays(cls, ambient: SpaceTag, mu, functionals, vectors,
-                    order: OrderExponent | None = None) -> "NuclearRep":
-        """Build from a weight vector and ``(k, dim)`` coordinate arrays.
-
-        Equivalent to passing the rows as a term list, without the list;
-        the inputs are not modified.
-        """
-        mu = np.asarray(mu, dtype=np.float64)
-        if mu.ndim != 1:
-            raise ValueError(f"weights must be a 1-d array, got shape {mu.shape}")
-        rep = cls.__new__(cls)
-        rep._normalize(ambient, mu, functionals, vectors, order)
-        return rep
-
-    def _normalize(self, ambient, mu, funs, vecs, order) -> None:
-        """Validate, absorb the row norms into ``mu``, drop terms lighter than
-        ``MU_FLOOR`` and sort by nonincreasing weight (stable)."""
+    def __init__(self, ambient: SpaceTag, mu, functionals, vectors,
+                 order: OrderExponent | None = None):
         if ambient.kind != "lp":
             raise ValueError(f"ambient space must be an lp tag, got {ambient}")
         self.ambient = ambient
         self.conjugate = conjugate_tag(ambient)
         self.order = OrderExponent(order) if order is not None else s_from_p(ambient.p)
 
+        mu = np.asarray(mu, dtype=np.float64)
+        if mu.ndim != 1:
+            raise ValueError(f"weights must be a 1-d array, got shape {mu.shape}")
         bad = ~(np.isfinite(mu) & (mu >= 0))
         if bad.any():
             raise ValueError(f"term weights must be finite and >= 0, got {mu[bad][0]}")
-        fun = _rows(funs, mu.shape[0], self.conjugate)
-        vec = _rows(vecs, mu.shape[0], ambient)
+        fun = _rows(functionals, mu.shape[0], self.conjugate)
+        vec = _rows(vectors, mu.shape[0], ambient)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
             norm_f = row_norms(fun, self.conjugate)
             norm_v = row_norms(vec, ambient)
@@ -153,19 +140,15 @@ class NuclearRep:
         """Row k holds the coordinates of the k-th unit vector."""
         return self._vec
 
-    def raw_terms(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        return [
-            (float(self._mu[k]), self._fun[k].copy(), self._vec[k].copy())
-            for k in range(len(self))
-        ]
-
     def __repr__(self) -> str:
         return f"NuclearRep({self.ambient}, {len(self)} terms, s={self.order})"
 
 
 def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
-    """Coordinates as a ``(k, dim)`` float array; a list of rows is stacked."""
-    rows = np.asarray(coords, dtype=np.float64) if k else np.zeros((0, tag.dim))
+    """Coordinates as a ``(k, dim)`` float array; nested lists are stacked."""
+    rows = np.asarray(coords, dtype=np.float64)
+    if k == 0 and rows.shape == (0,):  # an empty list
+        rows = np.zeros((0, tag.dim))
     if rows.shape != (k, tag.dim):
         raise ValueError(f"term coordinates of shape {rows.shape} do not match {k} rows in {tag}")
     return rows
@@ -215,9 +198,7 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     a representation on ``lp(p)`` with ``p < 2`` is handed to code that
     requires ``p >= 2``.
     """
-    return NuclearRep.from_arrays(
-        rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order
-    )
+    return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -225,7 +206,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _rewritten(rep: NuclearRep, mu, fun, vec) -> NuclearRep:
-    return NuclearRep.from_arrays(rep.ambient, mu, fun, vec, order=rep.order)
+    return NuclearRep(rep.ambient, mu, fun, vec, order=rep.order)
 
 
 def _split(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
@@ -368,14 +349,15 @@ def rep_from_json(data) -> NuclearRep:
     one-line ``ValueError``."""
     json_object(data, "representation", "ambient", "terms")
     space = json_object(data["ambient"], "representation ambient", "p", "dim")
+    if not isinstance(data["terms"], list):
+        raise ValueError("representation terms must be a JSON array")
+    terms = [json_object(t, "representation term", "mu", "functional", "vector")
+             for t in data["terms"]]
     try:
-        ambient = lp(space["p"], int(space["dim"]))
+        ambient = lp(space["p"], space["dim"])
         order = OrderExponent(data["order_s"]) if "order_s" in data else None
-        terms = []
-        for t in data["terms"]:
-            json_object(t, "representation term", "mu", "functional", "vector")
-            terms.append((float(t["mu"]), np.asarray(t["functional"], dtype=np.float64),
-                          np.asarray(t["vector"], dtype=np.float64)))
+        mu, fun, vec = (np.array([t[key] for t in terms], dtype=np.float64)
+                        for key in ("mu", "functional", "vector"))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed representation: {exc}") from exc
-    return NuclearRep(ambient, terms, order=order)
+    return NuclearRep(ambient, mu, fun, vec, order=order)

@@ -47,11 +47,7 @@ __all__ = [
     "diagonal_operator",
     "json_object",
     "tag_to_json",
-    "tag_from_json",
-    "vector_to_json",
-    "vector_from_json",
     "operator_to_json",
-    "operator_from_json",
 ]
 
 MAX_DIM = 4096
@@ -77,8 +73,9 @@ class SpaceTag:
                 object.__setattr__(self, "p", Exponent(self.p))
         elif self.p is not None:
             raise ValueError(f"{self.kind} tags carry no exponent")
-        if not isinstance(self.dim, int) or not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be an integer in [1, {MAX_DIM}], got {self.dim}")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}")
 
     def __str__(self) -> str:
         if self.kind == "lp":
@@ -257,9 +254,9 @@ def diagonal_operator(diag, domain: SpaceTag, codomain: SpaceTag) -> DiagonalOpe
 
 # --- JSON interchange -------------------------------------------------------
 #
-# Vectors and matrices travel as plain JSON arrays (row-major for matrices)
-# next to their tags, a diagonal operator as its diagonal; this is the format
-# the CLI imports and exports.
+# Operators are written as plain JSON arrays next to their tags (row-major
+# for a matrix, a diagonal operator as its diagonal); this is the format the
+# pipeline export uses.  Reps and configs are read by their own loaders.
 
 
 def json_object(data, where: str, *required: str) -> dict:
@@ -280,21 +277,6 @@ def tag_to_json(tag: SpaceTag) -> dict:
     return out
 
 
-def tag_from_json(data: dict) -> SpaceTag:
-    kind = data["kind"]
-    if kind == "lp":
-        return lp(Exponent(data["p"]), int(data["dim"]))
-    return SpaceTag(kind, None, int(data["dim"]))
-
-
-def vector_to_json(v: Vector) -> dict:
-    return {"space": tag_to_json(v.space), "coords": v.coords.tolist()}
-
-
-def vector_from_json(data: dict) -> Vector:
-    return Vector(np.asarray(data["coords"], dtype=np.float64), tag_from_json(data["space"]))
-
-
 def operator_to_json(op: Operator) -> dict:
     out = {"domain": tag_to_json(op.domain), "codomain": tag_to_json(op.codomain)}
     if isinstance(op, DiagonalOperator):
@@ -302,10 +284,3 @@ def operator_to_json(op: Operator) -> dict:
     else:
         out["matrix"] = op.matrix.tolist()
     return out
-
-
-def operator_from_json(data: dict) -> Operator:
-    domain, codomain = tag_from_json(data["domain"]), tag_from_json(data["codomain"])
-    if "diagonal" in data:
-        return DiagonalOperator(np.asarray(data["diagonal"], dtype=np.float64), domain, codomain)
-    return DenseOperator(np.asarray(data["matrix"], dtype=np.float64), domain, codomain)

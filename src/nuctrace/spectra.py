@@ -91,22 +91,22 @@ class SpectralReport:
         }
 
 
-def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, float]:
-    """The rep's ``n`` eigenvalues in report order, and the trace of the
-    matrix that was solved (see the module docstring for which one)."""
+def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, np.ndarray]:
+    """The rep's ``n`` eigenvalues in report order, and the matrix that was
+    solved (see the module docstring for which one)."""
     n, k = rep.ambient.dim, len(rep)
     if k >= n:
         op = assemble(rep)
-        return eigen_spectrum(op), float(np.trace(op.matrix))
-    ev, matrix_trace = np.zeros(0), 0.0
+        return eigen_spectrum(op), op.matrix
+    ev, solved = np.zeros(0), np.zeros((0, 0))
     if k > 0:
         tag = lp(rep.ambient.p, k)
         op = DenseOperator((rep.functionals @ rep.vectors.T) * rep.mu[None, :], tag, tag)
-        ev, matrix_trace = eigen_spectrum(op), float(np.trace(op.matrix))
+        ev, solved = eigen_spectrum(op), op.matrix
     # zero modulus sorts last, so the padded spectrum stays in report order
     ev = np.concatenate([ev, np.zeros(n - k, dtype=ev.dtype)])
     ev.flags.writeable = False
-    return ev, matrix_trace
+    return ev, solved
 
 
 def spectral_report(rep: NuclearRep) -> SpectralReport:
@@ -119,11 +119,11 @@ def spectral_report(rep: NuclearRep) -> SpectralReport:
     the matrix solved, a matmul-based value independent of the einsum in
     :func:`nuclear_trace`.
     """
-    ev, matrix_trace = _spectrum(rep)
+    ev, solved = _spectrum(rep)
     eigen_sum = complex(ev.sum())
     return SpectralReport(
         eigenvalues=ev,
-        matrix_trace=matrix_trace,
+        matrix_trace=float(np.trace(solved)),
         eigen_sum=eigen_sum,
         abs_sum=float(np.abs(ev).sum()),
         lidskii_residual=abs(nuclear_trace(rep) - eigen_sum),
@@ -139,9 +139,11 @@ def weyl_check(rep: NuclearRep) -> dict:
     most ``sum mu_k``; this is the desk-scale shadow of absolute eigenvalue
     summability for the represented class.
     """
-    ev, _ = _spectrum(rep)
+    ev, solved = _spectrum(rep)
+    if solved.shape[0] < rep.ambient.dim:  # the k x k coefficient matrix, not T
+        solved = assemble(rep).matrix
     try:
-        sv = np.linalg.svd(assemble(rep).matrix, compute_uv=False)
+        sv = np.linalg.svd(solved, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"singular value solve failed: {exc}") from exc
     abs_sum = float(np.abs(ev).sum())

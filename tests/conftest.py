@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nuctrace import NuclearRep, conjugate_tag, lp, lp_norm, Vector
+from nuctrace import NuclearRep, conjugate_tag, lp, row_norms
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -12,14 +12,11 @@ def random_rep(rng, p, dim, n_terms, decay=1.2) -> NuclearRep:
     """Seeded rep with unit rank-one terms and power-decaying weights."""
     ambient = lp(p, dim)
     conj = conjugate_tag(ambient)
-    terms = []
-    for k in range(n_terms):
-        f = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        f = f / lp_norm(Vector(f, conj))
-        v = v / lp_norm(Vector(v, ambient))
-        terms.append(((k + 1.0) ** -decay, f, v))
-    return NuclearRep(ambient, terms)
+    # rows drawn in term order f_0, v_0, f_1, v_1, ...
+    draws = rng.standard_normal((n_terms, 2, dim))
+    fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
+    vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
+    return NuclearRep(ambient, [(k + 1.0) ** -decay for k in range(n_terms)], fun, vec)
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +20,7 @@ from conftest import make_rng, random_rep
 
 @pytest.fixture
 def rep_file(tmp_path):
-    rep = NuclearRep(
-        lp(2, 4),
-        [(1.0, np.eye(4)[0], np.eye(4)[0]), (0.25, np.eye(4)[1], np.eye(4)[1])],
-    )
+    rep = NuclearRep(lp(2, 4), [1.0, 0.25], np.eye(4)[:2], np.eye(4)[:2])
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep_to_json(rep)))
     return path
@@ -109,6 +109,12 @@ MALFORMED = {
         {"p": "2", "family": "random_unit", "decay": 5, "ladder": [4, 6, 8], "seed": 1},
     ),
     "config_top_level_list": ("suite", ["p", "2"]),
+    # a rep dim given as a fraction, a string or a boolean is rejected, not truncated
+    "rep_dim_fraction": ("spectrum", {"ambient": {"p": "2", "dim": 2.9}, "terms": []}),
+    "rep_dim_string": ("spectrum", {"ambient": {"p": "2", "dim": "3"}, "terms": []}),
+    "rep_dim_boolean": ("spectrum", {"ambient": {"p": "2", "dim": True}, "terms": []}),
+    # terms given as an object used to load as an empty rep
+    "rep_terms_object": ("spectrum", {"ambient": {"p": "2", "dim": 2}, "terms": {}}),
     # integer fields given as a fraction, a string or a boolean are rejected, not truncated
     "config_ladder_fraction_and_string": ("suite", {**CONFIG, "ladder": [16.9, "32", 64]}),
     "config_seed_fraction": ("suite", {**CONFIG, "seed": 1.7}),
@@ -197,6 +203,50 @@ class TestLoaderFuzz:
             config_from_json(data)
         except ValueError as exc:
             assert "\n" not in str(exc)
+
+
+def _run_cli(argv):
+    """Exit code and stderr of an in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCliFuzz:
+    """The CLI on arbitrary input: exit 0, 1 or 2, never a traceback, and a
+    usage error is one stderr line.  Files go to a fresh temporary directory
+    per example (a function-scoped fixture would be shared between them)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(JSON_VALUES, _mutated(VALID_REP)), st.sampled_from(["spectrum", "factorize"]))
+    def test_rep_commands(self, data, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "rep.json"
+            src.write_text(json.dumps(data))
+            argv = [command, "--rep", str(src)]
+            if command == "factorize":
+                argv += ["--out", str(Path(tmp) / "pipe.json")]
+            _assert_clean_exit(*_run_cli(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(max_size=8))
+    def test_exponents_flag(self, text):
+        _assert_clean_exit(*_run_cli(["exponents", "--p", text]))
+
+    def test_usage_errors_are_one_line(self):
+        for argv in ([], ["bogus"], ["exponents", "--p"], ["exponents", "--p", "-x"],
+                     ["suite", "--config", "c.json", "--seed", "abc"]):
+            code, err = _run_cli(argv)
+            assert code == 2
+            _assert_clean_exit(code, err)
 
 
 class TestFactorizeCommand:

@@ -27,8 +27,8 @@ def e(i, n):
 
 
 def diagonal_rep(mu, p):
-    n = len(mu)
-    return NuclearRep(lp(p, n), [(m, e(k, n), e(k, n)) for k, m in enumerate(mu)])
+    eye = np.eye(len(mu))
+    return NuclearRep(lp(p, len(mu)), mu, eye, eye)
 
 
 class TestSplitDiagonal:
@@ -108,10 +108,10 @@ class TestBuildPipeline:
 
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
-            build_pipeline(NuclearRep(lp(2, 3), []))
+            build_pipeline(NuclearRep(lp(2, 3), [], [], []))
 
     def test_rejects_off_curve_order(self):
-        rep = NuclearRep(lp(2, 2), [(1.0, e(0, 2), e(0, 2))], order=OrderExponent("1/2"))
+        rep = NuclearRep(lp(2, 2), [1.0], [e(0, 2)], [e(0, 2)], order=OrderExponent("1/2"))
         with pytest.raises(ValueError, match="curve"):
             build_pipeline(rep)
 

@@ -79,6 +79,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing"):
             config_from_json({"p": "2"})
 
+    def test_integer_fields_reject_fractions_strings_and_booleans(self, tmp_path):
+        # none of these is truncated or coerced: (16.9, 32.5) is not (16, 32)
+        for ladder in ((16.9, 32.5), (4, 8.0), (True, 4), (4, "8")):
+            with pytest.raises(ValueError, match="ladder entries must be integers"):
+                small_config(tmp_path, ladder=ladder)
+        for bad in (True, 3.0, "3"):
+            with pytest.raises(ValueError, match="seed"):
+                small_config(tmp_path, seed=bad)
+            with pytest.raises(ValueError, match="cases_per_level"):
+                small_config(tmp_path, cases_per_level=bad)
+            with pytest.raises(ValueError, match="term_count"):
+                DecayProfile(1.1, bad)
+
 
 class TestGenerateFamily:
     def test_diagonal_harmonic_weights(self, tmp_path):
@@ -174,7 +187,7 @@ class TestFactorizationSuite:
 
     def test_degenerate_case_skipped_not_failed(self, tmp_path, monkeypatch):
         def empty_family(config, n):
-            return NuclearRep(lp(config.p, n), [])
+            return NuclearRep(lp(config.p, n), [], [], [])
 
         monkeypatch.setattr(harness, "generate_family", empty_family)
         report = run_factorization_suite(small_config(tmp_path))

@@ -28,13 +28,13 @@ def e(i, n):
 
 
 def diagonal_rep(mu, p=2, dim=None):
-    dim = dim or len(mu)
-    return NuclearRep(lp(p, dim), [(m, e(k, dim), e(k, dim)) for k, m in enumerate(mu)])
+    eye = np.eye(dim or len(mu))[: len(mu)]
+    return NuclearRep(lp(p, eye.shape[1]), mu, eye, eye)
 
 
 class TestConstruction:
     def test_scales_are_absorbed_into_mu(self):
-        rep = NuclearRep(lp(2, 2), [(2.0, [3.0, 0.0], [0.0, 5.0])])
+        rep = NuclearRep(lp(2, 2), [2.0], [[3.0, 0.0]], [[0.0, 5.0]])
         assert rep.mu[0] == pytest.approx(30.0, rel=1e-14)
         assert np.allclose(rep.functionals[0], [1.0, 0.0])
         assert np.allclose(rep.vectors[0], [0.0, 1.0])
@@ -44,39 +44,65 @@ class TestConstruction:
         assert list(rep.mu) == sorted(rep.mu, reverse=True)
 
     def test_underflow_terms_dropped(self):
-        rep = NuclearRep(lp(2, 2), [(1e-301, [1, 0], [1, 0]), (1.0, [0, 1], [0, 1])])
+        rep = NuclearRep(lp(2, 2), [1e-301, 1.0], np.eye(2), np.eye(2))
         assert len(rep) == 1
 
     def test_negative_or_nonfinite_mu_rejected(self):
         with pytest.raises(ValueError):
-            NuclearRep(lp(2, 2), [(-1.0, [1, 0], [1, 0])])
+            NuclearRep(lp(2, 2), [-1.0], [[1, 0]], [[1, 0]])
         with pytest.raises(ValueError):
-            NuclearRep(lp(2, 2), [(float("nan"), [1, 0], [1, 0])])
+            NuclearRep(lp(2, 2), [float("nan")], [[1, 0]], [[1, 0]])
 
     def test_nonfinite_coordinates_rejected(self):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="coordinates must be finite"):
-                NuclearRep(lp(2, 2), [(1.0, [1, 0], [1, 0]), (1.0, [bad, 0.0], [1, 0])])
+                NuclearRep(lp(2, 2), [1.0, 1.0], [[1, 0], [bad, 0.0]], [[1, 0], [1, 0]])
             with pytest.raises(ValueError, match="coordinates must be finite"):
-                NuclearRep(lp(np.inf, 2), [(1.0, [1, 0], [0.5, bad])])
+                NuclearRep(lp(np.inf, 2), [1.0], [[1, 0]], [[0.5, bad]])
 
     def test_overflowing_norms_and_weights_rejected(self):
         huge = [1e308, 1e308]
         # the l2 norm of finite coordinates overflows
         with pytest.raises(ValueError, match="norm overflows"):
-            NuclearRep(lp(2, 2), [(1.0, huge, [1, 0])])
+            NuclearRep(lp(2, 2), [1.0], [huge], [[1, 0]])
         # finite norms whose product with the weight overflows
         with pytest.raises(ValueError, match="overflows"):
-            NuclearRep(lp(np.inf, 2), [(1.0, [1e308, 0.0], [1e308, 0.0])])
+            NuclearRep(lp(np.inf, 2), [1.0], [[1e308, 0.0]], [[1e308, 0.0]])
         # every term finite, the weight sum is not
         with pytest.raises(ValueError, match="overflows"):
-            NuclearRep(lp(2, 1), [(1e308, [1.0], [1.0])] * 2)
+            NuclearRep(lp(2, 1), [1e308, 1e308], [[1.0]] * 2, [[1.0]] * 2)
+
+    def test_arrays_and_nested_lists_build_the_same_rep(self):
+        rng = make_rng(76)
+        mu = rng.uniform(0.1, 2.0, 4)
+        fun, vec = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+        copies = [a.copy() for a in (mu, fun, vec)]
+        rep = NuclearRep(lp(3, 5), mu, fun, vec)
+        # the inputs are left alone and the stored arrays are read-only
+        for given, copy in zip((mu, fun, vec), copies):
+            assert np.array_equal(given, copy)
+        for stored in (rep.mu, rep.functionals, rep.vectors):
+            assert not stored.flags.writeable
+        again = NuclearRep(lp(3, 5), mu.tolist(), fun.tolist(), vec.tolist())
+        for a, b in ((rep.mu, again.mu), (rep.functionals, again.functionals),
+                     (rep.vectors, again.vectors)):
+            assert np.array_equal(a, b)
+
+    def test_weights_and_rows_must_match_in_shape(self):
+        with pytest.raises(ValueError, match="1-d"):
+            NuclearRep(lp(2, 2), [[1.0]], [[1, 0]], [[1, 0]])
+        with pytest.raises(ValueError, match="do not match"):
+            NuclearRep(lp(2, 2), [1.0, 2.0], [[1, 0]], [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="do not match"):
+            NuclearRep(lp(2, 2), [1.0], [[1, 0, 0]], [[1, 0]])
+        with pytest.raises(ValueError, match="do not match"):
+            NuclearRep(lp(2, 2), [], [[1, 0]], [])
 
     def test_ambient_must_be_lp(self):
         from nuctrace import c0
 
         with pytest.raises(ValueError):
-            NuclearRep(c0(2), [(1.0, [1, 0], [1, 0])])
+            NuclearRep(c0(2), [1.0], [[1, 0]], [[1, 0]])
 
     def test_order_defaults_to_curve(self):
         assert diagonal_rep([1.0], p=2).order == OrderExponent(1)
@@ -113,15 +139,15 @@ class TestQuasiNorm:
 
 class TestTraceAndAssemble:
     def test_trace_examples(self):
-        rep = NuclearRep(lp(2, 3), [(3.0, e(0, 3), e(0, 3))])
+        rep = NuclearRep(lp(2, 3), [3.0], [e(0, 3)], [e(0, 3)])
         assert nuclear_trace(rep) == pytest.approx(3.0, rel=1e-14)
-        nil = NuclearRep(lp(2, 3), [(1.0, e(0, 3), e(1, 3))])
+        nil = NuclearRep(lp(2, 3), [1.0], [e(0, 3)], [e(1, 3)])
         assert nuclear_trace(nil) == 0.0
         mu = [0.9, 0.5, 0.2]
         assert nuclear_trace(diagonal_rep(mu)) == pytest.approx(sum(mu), rel=1e-14)
 
     def test_assemble_nilpotent_position(self):
-        nil = NuclearRep(lp(2, 3), [(1.0, e(0, 3), e(1, 3))])
+        nil = NuclearRep(lp(2, 3), [1.0], [e(0, 3)], [e(1, 3)])
         m = assemble(nil).matrix
         expected = np.zeros((3, 3))
         expected[1, 0] = 1.0
@@ -150,13 +176,18 @@ class TestTraceAndAssemble:
         rng = make_rng(79)
         rep1 = random_rep(rng, 2, 6, 3)
         rep2 = random_rep(rng, 2, 6, 4)
-        both = NuclearRep(rep1.ambient, rep1.raw_terms() + rep2.raw_terms())
+        both = NuclearRep(
+            rep1.ambient,
+            np.concatenate([rep1.mu, rep2.mu]),
+            np.concatenate([rep1.functionals, rep2.functionals]),
+            np.concatenate([rep1.vectors, rep2.vectors]),
+        )
         lhs = assemble(both).matrix
         rhs = assemble(rep1).matrix + assemble(rep2).matrix
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(np.linalg.norm(lhs), 1.0)
 
     def test_empty_rep_assembles_to_zero(self):
-        rep = NuclearRep(lp(2, 4), [])
+        rep = NuclearRep(lp(2, 4), [], [], [])
         assert np.array_equal(assemble(rep).matrix, np.zeros((4, 4)))
         assert nuclear_trace(rep) == 0.0
         assert quasi_norm_value(rep, OrderExponent(1)) == 0.0
@@ -175,7 +206,7 @@ class TestAdjoint:
 
 class TestRewrites:
     def test_split_doubles_terms_same_matrix(self):
-        rep = NuclearRep(lp(2, 3), [(2.0, e(0, 3), e(1, 3))])
+        rep = NuclearRep(lp(2, 3), [2.0], [e(0, 3)], [e(1, 3)])
         out = rewrite_equivalent(rep, "split", seed=1)
         assert len(out) == 2
         assert np.allclose(assemble(out).matrix, assemble(rep).matrix)
@@ -198,7 +229,7 @@ class TestRewrites:
         from nuctrace.nuclear import rotate_pair
 
         f = np.array([1.0, 0.0, 0.0])
-        rep = NuclearRep(lp(2, 3), [(1.0, f, e(1, 3)), (0.5, f, e(2, 3))])
+        rep = NuclearRep(lp(2, 3), [1.0, 0.5], [f, f], [e(1, 3), e(2, 3)])
         before = assemble(rep).matrix
         rotated = rotate_pair(rep, 0, 1, np.pi / 4)
         after = assemble(rotated).matrix
@@ -257,7 +288,7 @@ class TestEquivalence:
 
     def test_perturbed_weight_is_not_equivalent(self):
         rep = diagonal_rep([2.0, 1.0])
-        bumped = NuclearRep(rep.ambient, [(3.0, e(0, 2), e(0, 2)), (1.0, e(1, 2), e(1, 2))])
+        bumped = NuclearRep(rep.ambient, [3.0, 1.0], np.eye(2), np.eye(2))
         assert not equivalent(rep, bumped, tol=1e-10)
 
     def test_ambient_mismatch_raises(self):

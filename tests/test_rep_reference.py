@@ -39,7 +39,7 @@ from nuctrace.nuclear import MU_FLOOR, _parallel_pairs, _rng, rotate_pair
 from nuctrace.seqspace import c0, linf
 from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
-from conftest import make_rng
+from conftest import make_rng, random_rep
 
 EXPONENTS = (1, "4/3", "3/2", 2, 3, "inf")
 
@@ -87,7 +87,8 @@ def ref_arrays(ambient, terms):
 
 
 class RefRep:
-    """A rep built by the per-term loop; the reference rewrites act on it."""
+    """A rep built by the per-term loop from an iterable of ``(mu, f, v)``
+    terms; the reference rewrites act on it."""
 
     def __init__(self, ambient, terms):
         self.ambient = ambient
@@ -168,28 +169,28 @@ def assert_same(rep, ref):
     assert np.array_equal(rep.vectors, ref.vectors)
 
 
-def raw_terms(rng, dim, k):
-    """Un-normalized terms with scattered scales, plus one below MU_FLOOR."""
-    terms = [
-        (
-            (j + 1.0) ** -1.3,
-            rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3),
-            rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3),
-        )
-        for j in range(k)
-    ]
-    terms.insert(k // 2, (1e-305, rng.standard_normal(dim), rng.standard_normal(dim)))
-    return terms
+def scattered_arrays(rng, dim, k):
+    """Un-normalized ``(mu, F, V)`` with rows of scattered scales, plus one
+    term below MU_FLOOR in the middle."""
+    rows = rng.standard_normal((k, 2, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 2, 1))
+    light = rng.standard_normal((2, dim))
+    return (
+        np.insert((np.arange(k) + 1.0) ** -1.3, k // 2, 1e-305),
+        np.insert(rows[:, 0], k // 2, light[0], axis=0),
+        np.insert(rows[:, 1], k // 2, light[1], axis=0),
+    )
 
 
-def shared_terms(rng, dim, pairs):
-    """Pairs of terms sharing a functional, so merges and pi/4 rotations apply."""
-    terms = []
-    for j in range(pairs):
-        f = rng.standard_normal(dim)
-        terms.append((1.0 / (j + 1), f, rng.standard_normal(dim)))
-        terms.append((0.5 / (j + 1), f, rng.standard_normal(dim)))
-    return terms
+def shared_arrays(rng, dim, pairs):
+    """``(mu, F, V)`` of term pairs sharing a functional, so merges and pi/4
+    rotations apply; drawn in the order f, v, v per pair."""
+    draws = rng.standard_normal((pairs, 3, dim))
+    weights = 1.0 / (np.arange(pairs) + 1)
+    return (
+        np.stack([weights, 0.5 * weights], axis=1).reshape(-1),
+        np.repeat(draws[:, 0], 2, axis=0),
+        draws[:, 1:].reshape(2 * pairs, dim),
+    )
 
 
 # --- tests --------------------------------------------------------------------
@@ -213,18 +214,18 @@ def test_row_norms_match_reference_norm(p):
 def test_constructor_matches_per_term_loop(p):
     rng = make_rng(202)
     for dim, k in ((1, 3), (5, 4), (33, 12), (96, 40)):
-        terms = raw_terms(rng, dim, k)
+        mu, fun, vec = scattered_arrays(rng, dim, k)
         ambient = lp(p, dim)
-        rep = NuclearRep(ambient, terms)
+        rep = NuclearRep(ambient, mu, fun, vec)
         assert len(rep) == k  # the 1e-305 term fell below MU_FLOOR
-        ref = RefRep(ambient, terms)
+        ref = RefRep(ambient, zip(mu, fun, vec))
         assert_same(rep, ref)
         swapped = [(mu, v, f) for mu, f, v in ref.raw_terms()]
         assert_same(adjoint_rep(rep), RefRep(rep.conjugate, swapped))
 
 
 def test_constructor_drops_everything_below_floor():
-    rep = NuclearRep(lp(3, 4), [(1e-200, np.ones(4) * 1e-60, np.ones(4) * 1e-60)])
+    rep = NuclearRep(lp(3, 4), [1e-200], np.ones((1, 4)) * 1e-60, np.ones((1, 4)) * 1e-60)
     assert len(rep) == 0
     assert rep.functionals.shape == rep.vectors.shape == (0, 4)
 
@@ -232,8 +233,8 @@ def test_constructor_drops_everything_below_floor():
 @pytest.mark.parametrize("p", EXPONENTS)
 def test_rewrites_match_list_based_reference(p):
     rng = make_rng(203)
-    terms = shared_terms(rng, 24, 6)
-    rep, ref = NuclearRep(lp(p, 24), terms), RefRep(lp(p, 24), terms)
+    mu, fun, vec = shared_arrays(rng, 24, 6)
+    rep, ref = NuclearRep(lp(p, 24), mu, fun, vec), RefRep(lp(p, 24), zip(mu, fun, vec))
     merges = 0
     for step in range(30):
         scheme = ("split", "merge", "rotate")[step % 3]
@@ -249,8 +250,8 @@ def test_rewrites_match_list_based_reference(p):
 
 @pytest.mark.parametrize("p", EXPONENTS)
 def test_quarter_pi_rotation_of_shared_pair(p):
-    terms = shared_terms(make_rng(204), 16, 3)
-    rep, ref = NuclearRep(lp(p, 16), terms), RefRep(lp(p, 16), terms)
+    mu, fun, vec = shared_arrays(make_rng(204), 16, 3)
+    rep, ref = NuclearRep(lp(p, 16), mu, fun, vec), RefRep(lp(p, 16), zip(mu, fun, vec))
     assert np.array_equal(rep.functionals[0], rep.functionals[1])
     out = rotate_pair(rep, 0, 1, np.pi / 4)
     assert_same(out, RefRep(ref.ambient, ref_rotate_pair(ref, 0, 1, np.pi / 4)))
@@ -260,12 +261,16 @@ def test_quarter_pi_rotation_of_shared_pair(p):
 def test_parallel_pairs_match_reference():
     rng = make_rng(205)
     for p in EXPONENTS:
-        rep = NuclearRep(lp(p, 12), shared_terms(rng, 12, 4))
+        rep = NuclearRep(lp(p, 12), *shared_arrays(rng, 12, 4))
         for seed in range(6):
             rep = rewrite_equivalent(rep, "split", seed)
         # a sign-flipped copy of term 0 is parallel to it as well
-        mu, f, v = rep.raw_terms()[0]
-        rep = NuclearRep(rep.ambient, rep.raw_terms() + [(mu / 3, -f, -v)])
+        rep = NuclearRep(
+            rep.ambient,
+            np.append(rep.mu, rep.mu[0] / 3),
+            np.vstack([rep.functionals, -rep.functionals[0]]),
+            np.vstack([rep.vectors, -rep.vectors[0]]),
+        )
         pairs = _parallel_pairs(rep)
         assert len(pairs) >= 7
         assert pairs == ref_parallel_pairs(rep)
@@ -367,7 +372,7 @@ def rep_with_terms(p, family, n, k):
     """A rep with exactly ``k`` terms on ``lp(p, n)``; ``k > n`` splits one
     term of an ``n``-term family rep."""
     if k == 0:
-        return NuclearRep(lp(p, n), [])
+        return NuclearRep(lp(p, n), [], [], [])
     config = ExperimentConfig(
         p=p, family=family, decay=DecayProfile(1.1, min(k, n)), ladder=(n,), seed=1000 * n + k
     )
@@ -404,11 +409,43 @@ def test_spectral_report_matches_assembled_eigensolve(p, family):
             assert report.lidskii_residual <= RESIDUAL_BUDGET * (1.0 + rep.mu.sum())
 
 
+def ref_weyl_check(rep):
+    """The eigenvalue moduli of the report against an SVD of a second
+    assembled matrix."""
+    abs_sum = spectral_report(rep).abs_sum
+    singular_sum = float(np.linalg.svd(assemble(rep).matrix, compute_uv=False).sum())
+    nuclear_bound = float(rep.mu.sum())
+    tol = RESIDUAL_BUDGET * (1.0 + nuclear_bound)
+    return {
+        "abs_sum": abs_sum,
+        "singular_sum": singular_sum,
+        "nuclear_bound": nuclear_bound,
+        "pass": bool(abs_sum <= singular_sum + tol and singular_sum <= nuclear_bound + tol),
+    }
+
+
+@pytest.mark.parametrize("p", (1, 2, "inf"))
+def test_weyl_check_assembles_once(p, monkeypatch):
+    import nuctrace.spectra as spectra
+
+    calls = []
+    real = spectra.assemble
+    monkeypatch.setattr(spectra, "assemble", lambda rep: calls.append(rep) or real(rep))
+    # n = 6 with k = 0, 3 < n, k = n, k = n + 1 after a split, and k = 9
+    reps = [rep_with_terms(p, "random_unit", 6, k) for k in (0, 3, 6, 7)]
+    for rep in reps + [random_rep(make_rng(206), p, 6, 9)]:
+        ref = ref_weyl_check(rep)
+        calls.clear()
+        assert weyl_check(rep) == ref
+        # k >= n: the SVD reuses the matrix the eigensolve assembled
+        assert len(calls) == 1
+
+
 def test_rank_one_nilpotent_spectrum_is_exactly_zero():
     # unit rows (1/2, 1/2) in l1 and (1, -1) in l-inf pair to exactly 0
     f = np.array([1.0, 1.0, 0.0, 0.0])
     v = np.array([1.0, -1.0, 0.0, 0.0])
-    report = spectral_report(NuclearRep(lp("inf", 4), [(0.75, f, v)]))
+    report = spectral_report(NuclearRep(lp("inf", 4), [0.75], [f], [v]))
     assert report.eigenvalues.shape == (4,) and not report.eigenvalues.any()
     assert report.matrix_trace == report.abs_sum == report.lidskii_residual == 0.0
     assert report.eigen_sum == 0

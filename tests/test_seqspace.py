@@ -20,10 +20,7 @@ from nuctrace import (
 from nuctrace.seqspace import (
     diagonal_operator,
     identity_injection,
-    operator_from_json,
     operator_to_json,
-    vector_from_json,
-    vector_to_json,
 )
 
 from conftest import make_rng
@@ -42,6 +39,13 @@ class TestTags:
             lp(2, 0)
         with pytest.raises(ValueError):
             lp(2, 4097)
+
+    def test_dim_must_be_an_integer(self):
+        for bad in (True, 2.0, 2.9, "3", None):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                lp(2, bad)
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                c0(bad)
 
     def test_conjugate_tags(self):
         assert conjugate_tag(lp(2, 4)) == lp(2, 4)
@@ -211,25 +215,14 @@ class TestOperators:
 
 
 class TestJson:
-    def test_vector_roundtrip(self):
-        v = Vector([0.25, -1.5, 3.0], lp("7/3", 3))
-        again = vector_from_json(vector_to_json(v))
-        assert again.space == v.space
-        assert np.array_equal(again.coords, v.coords)
-
-    def test_operator_roundtrip_row_major(self):
+    def test_operator_to_json_row_major(self):
         op = DenseOperator(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), lp(1, 2), c0(3))
         data = operator_to_json(op)
         assert data["matrix"][1] == [3.0, 4.0]
-        again = operator_from_json(data)
-        assert again.domain == op.domain and again.codomain == op.codomain
-        assert np.array_equal(again.matrix, op.matrix)
+        assert data["domain"] == {"kind": "lp", "p": "1", "dim": 2}
+        assert data["codomain"] == {"kind": "c0", "dim": 3}
 
-    def test_diagonal_operator_roundtrip(self):
+    def test_diagonal_operator_to_json(self):
         op = diagonal_operator([0.5, -2.0], linf(2), lp("3/2", 2))
         data = operator_to_json(op)
         assert data["diagonal"] == [0.5, -2.0] and "matrix" not in data
-        again = operator_from_json(data)
-        assert isinstance(again, DiagonalOperator)
-        assert again.domain == op.domain and again.codomain == op.codomain
-        assert np.array_equal(again.diag, op.diag)

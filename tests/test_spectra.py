@@ -27,8 +27,8 @@ def e(i, n):
 
 
 def diagonal_rep(mu, p=2):
-    n = len(mu)
-    return NuclearRep(lp(p, n), [(m, e(k, n), e(k, n)) for k, m in enumerate(mu)])
+    eye = np.eye(len(mu))
+    return NuclearRep(lp(p, len(mu)), mu, eye, eye)
 
 
 def op(matrix):
@@ -42,7 +42,7 @@ class TestEigenSpectrum:
         assert np.allclose(ev, [3.0, 2.0, 1.0])
 
     def test_nilpotent_is_all_zeros(self):
-        nil = assemble(NuclearRep(lp(2, 4), [(1.0, e(0, 4), e(1, 4))]))
+        nil = assemble(NuclearRep(lp(2, 4), [1.0], [e(0, 4)], [e(1, 4)]))
         assert np.allclose(eigen_spectrum(nil), 0.0)
 
     def test_off_diagonal_quarter(self):
@@ -75,7 +75,7 @@ class TestSpectralReport:
         assert report.matrix_trace == pytest.approx(1.5, rel=1e-14)
 
     def test_nilpotent_example(self):
-        rep = NuclearRep(lp(2, 3), [(1.0, e(0, 3), e(1, 3))])
+        rep = NuclearRep(lp(2, 3), [1.0], [e(0, 3)], [e(1, 3)])
         report = spectral_report(rep)
         assert report.eigen_sum == 0
         assert report.lidskii_residual <= 1e-12
@@ -114,7 +114,7 @@ class TestWeyl:
         assert out["singular_sum"] == pytest.approx(out["nuclear_bound"], rel=1e-12)
 
     def test_nilpotent_strict_inequalities(self):
-        rep = NuclearRep(lp(2, 2), [(1.0, e(0, 2), e(1, 2))])
+        rep = NuclearRep(lp(2, 2), [1.0], [e(0, 2)], [e(1, 2)])
         out = weyl_check(rep)
         assert out["pass"]
         assert out["abs_sum"] == pytest.approx(0.0, abs=1e-12)
