@@ -15,6 +15,7 @@ one the command line uses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +35,21 @@ _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
+# Fraction expands a decimal exponent to an exact integer before any range
+# check could run ("1e9999999" takes most of a minute), so bound it first.
+_DECIMAL_EXP = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_rational(text: str) -> Fraction:
+    text = text.strip()
+    exp = _DECIMAL_EXP.search(text)
+    if len(text) > 64 or (exp and abs(int(exp.group(1))) > 1000):
+        raise ValueError(
+            "exponent literal over 64 characters or with a decimal exponent "
+            f"beyond +-1000: {text[:64]!r}"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational exponent literal: {text!r}") from exc
 

@@ -225,10 +225,11 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     A pair is mergeable when (f_i, v_i) = (sign f_j, sign v_j) with a joint
     sign, so both outer products point the same way.  Each term is
     sign-canonicalized (the functional's largest entry made positive, the
-    vector flipped along) and the joint rows are lexsorted: candidates are
-    then adjacent, and all adjacent rows are compared at once with the
-    ``np.allclose`` test ``|a - b| <= 1e-12 + 1e-9 |b|``.  Pairs come in
-    lexsorted order, as ``(smaller index, larger index)``.
+    vector flipped along) and the joint rows are sorted lexicographically
+    (stable): candidates are then adjacent, and all adjacent rows are
+    compared at once with the ``np.allclose`` test
+    ``|a - b| <= 1e-12 + 1e-9 |b|``.  Pairs come in sorted order, as
+    ``(smaller index, larger index)``.
     """
     k = len(rep)
     if k < 2:
@@ -237,7 +238,16 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     signs = np.sign(rep.functionals[np.arange(k), lead])
     signs[signs == 0] = 1.0
     canon = np.concatenate([rep.functionals, rep.vectors], axis=1) * signs[:, None]
-    order = np.lexsort(canon.T[::-1])
+    # Each float as an unsigned key in the same order (negatives: all bits
+    # flipped; the rest: the sign bit set, so -0.0 gets the key of 0.0, which
+    # the float order ties it with), stored big-endian: one stable
+    # byte-string sort of the rows is the column-by-column lexicographic sort.
+    bits = canon.view(np.uint64)
+    keys = bits | np.uint64(1 << 63)
+    np.invert(bits, out=keys, where=canon < 0)
+    keys.byteswap(inplace=True)
+    order = np.argsort(keys.view(f"S{keys.shape[1] * 8}")[:, 0], kind="stable")
+    del bits, keys  # frees the unsorted rows with the next line
     canon = canon[order]
     gap = canon[:-1] - canon[1:]
     np.abs(gap, out=gap)

@@ -3,14 +3,17 @@
 The eigensolver contract is a full backward-stable dense spectrum with
 algebraic multiplicities; the LAPACK solver behind ``numpy.linalg`` meets
 it.  A rep with ``k`` terms on an ``n``-dimensional truncation is solved on
-the smaller of two matrices.  When ``k >= n`` it is the assembled ``n x n``
-matrix.  When ``k < n`` it is the ``k x k`` coefficient matrix
-``M_ij = mu_j <f_i, v_j>``, whose nonzero eigenvalues are those of
-``T = sum_k mu_k v_k f_k^T`` with algebraic multiplicity (``M = F V^T D``
-and ``T = V^T D F`` with ``D = diag(mu)``), padded by ``n - k`` exact zeros.
-Reports order eigenvalues by nonincreasing modulus with ties broken by
-ascending principal argument in (-pi, pi] (zero modulus sorts last, with
-argument 0), so repeated runs produce identical files.
+the smaller of two matrices.  Terms sharing a bitwise-identical functional
+collapse, ``sum_{k in h} mu_k f_h (x) v_k = f_h (x) w_h``, into ``r <= k``
+groups (in order of first appearance).  When ``r >= n`` the assembled
+``n x n`` matrix is solved.  When ``r < n`` it is the ``r x r`` coefficient
+matrix ``M_gh = <f_g, w_h> = sum_{k in h} mu_k <f_g, v_k>``, whose nonzero
+eigenvalues are those of ``T = sum_h w_h f_h^T`` with algebraic multiplicity
+(``M = F W^T`` and ``T = W^T F`` with ``F`` the ``r`` distinct functionals),
+padded by ``n - r`` exact zeros.  Reports order eigenvalues by nonincreasing
+modulus with ties broken by ascending principal argument in (-pi, pi] (zero
+modulus sorts last, with argument 0), so repeated runs produce identical
+files.
 
 All tolerance budgets use the affine form ``tol * (1 + magnitude)`` so they
 behave sensibly at both tiny and large scales.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .exponents import OrderExponent
 from .nuclear import NuclearRep, assemble, nuclear_trace
-from .seqspace import DenseOperator, lp
+from .seqspace import DenseOperator, lp, row_norms
 
 __all__ = [
     "EigensolverError",
@@ -91,20 +94,55 @@ class SpectralReport:
         }
 
 
+def _distinct_functionals(fun: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each group of bitwise-identical rows of ``fun``: the index of its first
+    row, in order of appearance, and the group number of every row.
+
+    Only rows whose fingerprints ``fun @ w`` (an einsum, the same arithmetic
+    for every row, with a fixed random ``w``) collide are compared byte for
+    byte.  A group the fingerprints split would cost solve size, not
+    correctness.
+    """
+    k = fun.shape[0]
+    key = np.einsum("kn,n->k", fun, np.random.default_rng(0).standard_normal(fun.shape[1]))
+    order = np.argsort(key, kind="stable")
+    cand = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    if cand.size == 0:
+        return np.arange(k), np.arange(k)
+    bits = fun.view(np.uint64)
+    joins = np.zeros(k, dtype=bool)  # sorted row i is in the group of sorted row i - 1
+    joins[cand + 1] = (bits[order[cand]] == bits[order[cand + 1]]).all(axis=1)
+    group = np.cumsum(~joins) - 1
+    # a stable sort puts each group's first row first
+    heads = order[~joins]
+    rank = np.argsort(heads)
+    labels = np.empty(k, dtype=np.intp)
+    labels[order] = np.argsort(rank)[group]
+    return heads[rank], labels
+
+
 def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, np.ndarray]:
     """The rep's ``n`` eigenvalues in report order, and the matrix that was
     solved (see the module docstring for which one)."""
     n, k = rep.ambient.dim, len(rep)
-    if k >= n:
+    heads, labels = _distinct_functionals(rep.functionals)
+    r = heads.shape[0]
+    if r >= n:
         op = assemble(rep)
         return eigen_spectrum(op), op.matrix
     ev, solved = np.zeros(0), np.zeros((0, 0))
-    if k > 0:
-        tag = lp(rep.ambient.p, k)
-        op = DenseOperator((rep.functionals @ rep.vectors.T) * rep.mu[None, :], tag, tag)
+    if r > 0:
+        fun = rep.functionals if r == k else rep.functionals[heads]
+        m = (fun @ rep.vectors.T) * rep.mu[None, :]
+        if r < k:  # column h sums the columns of the terms in group h
+            by_group = np.argsort(labels, kind="stable")
+            starts = np.searchsorted(labels[by_group], np.arange(r))
+            m = np.add.reduceat(m[:, by_group], starts, axis=1)
+        tag = lp(rep.ambient.p, r)
+        op = DenseOperator(m, tag, tag)
         ev, solved = eigen_spectrum(op), op.matrix
     # zero modulus sorts last, so the padded spectrum stays in report order
-    ev = np.concatenate([ev, np.zeros(n - k, dtype=ev.dtype)])
+    ev = np.concatenate([ev, np.zeros(n - r, dtype=ev.dtype)])
     ev.flags.writeable = False
     return ev, solved
 
@@ -132,15 +170,18 @@ def spectral_report(rep: NuclearRep) -> SpectralReport:
 
 
 def weyl_check(rep: NuclearRep) -> dict:
-    """Eigenvalue moduli against singular values against the weight sum.
+    """Eigenvalue moduli against singular values against the term norms.
 
-    In finite dimensions ``sum |lambda_n| <= sum sigma_n`` always, and the
-    singular value sum of ``sum mu_k v_k f_k^T`` with unit factors is at
-    most ``sum mu_k``; this is the desk-scale shadow of absolute eigenvalue
-    summability for the represented class.
+    In finite dimensions ``sum |lambda_n| <= sum sigma_n`` always, and by the
+    triangle inequality in the trace norm the singular value sum of
+    ``sum mu_k v_k f_k^T`` is at most ``sum_k mu_k |f_k|_2 |v_k|_2`` at
+    every p (unit factors in ``l_p`` and ``l_p'`` do not bound it by
+    ``sum mu_k`` unless p = 2, where the two bounds agree up to rounding);
+    this is the desk-scale shadow of absolute eigenvalue summability for the
+    represented class.
     """
     ev, solved = _spectrum(rep)
-    if solved.shape[0] < rep.ambient.dim:  # the k x k coefficient matrix, not T
+    if solved.shape[0] < rep.ambient.dim:  # the r x r coefficient matrix, not T
         solved = assemble(rep).matrix
     try:
         sv = np.linalg.svd(solved, compute_uv=False)
@@ -148,7 +189,10 @@ def weyl_check(rep: NuclearRep) -> dict:
         raise EigensolverError(f"singular value solve failed: {exc}") from exc
     abs_sum = float(np.abs(ev).sum())
     singular_sum = float(sv.sum())
-    nuclear_bound = float(rep.mu.sum())
+    l2 = lp(2, rep.ambient.dim)
+    nuclear_bound = float(
+        (rep.mu * row_norms(rep.functionals, l2) * row_norms(rep.vectors, l2)).sum()
+    )
     tol = RESIDUAL_BUDGET * (1.0 + nuclear_bound)
     return {
         "abs_sum": abs_sum,

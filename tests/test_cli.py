@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,14 @@ class TestExponentsCommand:
         assert cli_main(["exponents", "--p", "half"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e999999", "1e9999999", "1E-1_001", "7" * 65])
+    def test_huge_literal_exits_2_at_once(self, literal, capsys):
+        start = time.perf_counter()
+        assert cli_main(["exponents", "--p", literal]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: exponent literal") and err.count("\n") == 1
+
 
 class TestSpectrumCommand:
     def test_prints_report(self, rep_file, capsys):
@@ -113,6 +122,13 @@ MALFORMED = {
     "rep_dim_fraction": ("spectrum", {"ambient": {"p": "2", "dim": 2.9}, "terms": []}),
     "rep_dim_string": ("spectrum", {"ambient": {"p": "2", "dim": "3"}, "terms": []}),
     "rep_dim_boolean": ("spectrum", {"ambient": {"p": "2", "dim": True}, "terms": []}),
+    # a literal Fraction would expand to ten million digits before rejecting it
+    "rep_p_huge_literal": ("spectrum", {"ambient": {"p": "1e9999999", "dim": 2}, "terms": []}),
+    "rep_order_huge_literal": (
+        "spectrum",
+        {"ambient": {"p": "2", "dim": 2}, "order_s": "1e-9999999", "terms": []},
+    ),
+    "config_p_huge_literal": ("suite", {**CONFIG, "p": "1e9999999"}),
     # terms given as an object used to load as an empty rep
     "rep_terms_object": ("spectrum", {"ambient": {"p": "2", "dim": 2}, "terms": {}}),
     # integer fields given as a fraction, a string or a boolean are rejected, not truncated
@@ -139,6 +155,12 @@ class TestMalformedJson:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", sorted(n for n in MALFORMED if n.endswith("_huge_literal")))
+    def test_huge_literal_is_rejected_at_once(self, name, tmp_path, capsys):
+        start = time.perf_counter()
+        self.test_exits_2_with_one_line(name, tmp_path, capsys)
+        assert time.perf_counter() - start < 1.0
 
 
 JSON_VALUES = st.recursive(

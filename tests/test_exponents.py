@@ -41,6 +41,15 @@ class TestExponentType:
         with pytest.raises(ValueError):
             Exponent("0")
 
+    def test_literal_size_is_bounded_before_expansion(self):
+        assert Exponent("1e1000").value == 10**1000
+        assert OrderExponent(" 1E-1_000 ").value == F(1, 10**1000)
+        for text in ("1e1001", "2.5e-1_001", "1" * 65):
+            with pytest.raises(ValueError, match="exponent literal"):
+                Exponent(text)
+        with pytest.raises(ValueError, match="exponent literal"):
+            OrderExponent("1e-9999999")
+
     def test_rejects_inexact_floats(self):
         with pytest.raises(TypeError):
             Exponent(1.5)

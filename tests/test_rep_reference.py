@@ -6,9 +6,9 @@ The reference functions below are the original implementations (a Python
 loop over terms, one norm per vector; k x k ``np.diag`` stages multiplied
 by matmul; ``eigen_spectrum(assemble(rep))`` for every rep); the library
 must agree with them bit for bit, so every comparison is ``np.array_equal``
-or ``==``.  The one exception is the spectrum of a rep with fewer terms
-than dimensions, which is now solved on a smaller matrix and is compared
-within an eigensolver budget.
+or ``==``.  The one exception is the spectrum of a rep with fewer distinct
+functionals than dimensions, which is now solved on a smaller matrix and is
+compared within an eigensolver budget.
 """
 
 import numpy as np
@@ -271,8 +271,21 @@ def test_parallel_pairs_match_reference():
             np.vstack([rep.functionals, -rep.functionals[0]]),
             np.vstack([rep.vectors, -rep.vectors[0]]),
         )
+        # e_0 + e_2 / 2 with its zeros signed either way (lexsort ties -0.0
+        # with 0.0), a sign-flipped copy and exact duplicates
+        f = np.zeros(12)
+        f[[0, 2]] = 1.0, 0.5
+        v = np.zeros(12)
+        v[[1, 5]] = -0.25, 1.0
+        signed = lambda x: np.where(x == 0, -0.0, x)
+        rep = NuclearRep(
+            rep.ambient,
+            np.concatenate([rep.mu, [0.3, 0.3, 0.2, 0.3, 0.3]]),
+            np.vstack([rep.functionals, f, signed(f), -f, signed(f), f]),
+            np.vstack([rep.vectors, v, v, -v, signed(v), v]),
+        )
         pairs = _parallel_pairs(rep)
-        assert len(pairs) >= 7
+        assert len(pairs) >= 11
         assert pairs == ref_parallel_pairs(rep)
 
 
@@ -383,6 +396,29 @@ def rep_with_terms(p, family, n, k):
     return rep
 
 
+def distinct_functionals(rep):
+    """The number of bitwise-distinct functional rows."""
+    return len({row.tobytes() for row in rep.functionals})
+
+
+def assert_spectra_match(report, ref, rep, r):
+    """A spectrum solved on ``r < n`` distinct functionals against the
+    assembled one: ``n - r`` exact zeros last, and the same multiset within
+    an eigensolver budget."""
+    n = rep.ambient.dim
+    ev = report.eigenvalues
+    assert ev.shape == (n,) and report.dim == n
+    assert np.array_equal(ev, _sort_spectrum(ev))
+    assert not ev[r:].any()
+    tol = 1e-12 * (1.0 + rep.mu.sum())
+    # the two spectra agree as multisets: match them, then compare
+    dist = np.abs(ev[:, None] - ref.eigenvalues[None, :])
+    assert dist[linear_sum_assignment(dist)].max() <= tol
+    for field in ("matrix_trace", "eigen_sum", "abs_sum"):
+        assert abs(getattr(report, field) - getattr(ref, field)) <= tol
+    assert report.lidskii_residual <= RESIDUAL_BUDGET * (1.0 + rep.mu.sum())
+
+
 @pytest.mark.parametrize("p", (1, "4/3", 2, 3, "inf"))
 @pytest.mark.parametrize("family", ("diagonal", "random_unit", "shared_functional_rotations"))
 def test_spectral_report_matches_assembled_eigensolve(p, family):
@@ -391,30 +427,45 @@ def test_spectral_report_matches_assembled_eigensolve(p, family):
             rep = rep_with_terms(p, family, n, k)
             report, ref = spectral_report(rep), ref_spectral_report(rep)
             assert weyl_check(rep)["abs_sum"] == report.abs_sum
-            if k >= n:
+            r = distinct_functionals(rep)
+            if r >= n:
                 assert np.array_equal(report.eigenvalues, ref.eigenvalues)
                 for field in ("matrix_trace", "eigen_sum", "abs_sum", "lidskii_residual", "dim"):
                     assert getattr(report, field) == getattr(ref, field)
                 continue
-            ev = report.eigenvalues
-            assert ev.shape == (n,) and report.dim == n
-            assert np.array_equal(ev, _sort_spectrum(ev))
-            assert not ev[k:].any()
-            tol = 1e-12 * (1.0 + rep.mu.sum())
-            # the two spectra agree as multisets: match them, then compare
-            dist = np.abs(ev[:, None] - ref.eigenvalues[None, :])
-            assert dist[linear_sum_assignment(dist)].max() <= tol
-            for field in ("matrix_trace", "eigen_sum", "abs_sum"):
-                assert abs(getattr(report, field) - getattr(ref, field)) <= tol
-            assert report.lidskii_residual <= RESIDUAL_BUDGET * (1.0 + rep.mu.sum())
+            assert_spectra_match(report, ref, rep, r)
+
+
+@pytest.mark.parametrize("p", (1, "4/3", 2, 3, "inf"))
+def test_repeated_functionals_are_solved_on_distinct_rows(p, monkeypatch):
+    import nuctrace.spectra as spectra
+
+    dims = []
+    real = spectra.eigen_spectrum
+    monkeypatch.setattr(spectra, "eigen_spectrum", lambda op: dims.append(op.matrix.shape) or real(op))
+    reps = [rep_with_terms(p, "shared_functional_rotations", n, n) for n in (16, 40, 64)]
+    # k = n + 1 terms over n - 1 distinct functionals
+    split = rep_with_terms(p, "random_unit", 40, 39)
+    for seed in (1, 2):
+        split = rewrite_equivalent(split, "split", seed)
+    for rep in reps + [split]:
+        n, r = rep.ambient.dim, distinct_functionals(rep)
+        assert r < n <= len(rep)
+        dims.clear()
+        report = spectral_report(rep)
+        assert dims == [(r, r)]
+        assert_spectra_match(report, ref_spectral_report(rep), rep, r)
 
 
 def ref_weyl_check(rep):
     """The eigenvalue moduli of the report against an SVD of a second
-    assembled matrix."""
+    assembled matrix, bounded by ``sum_k mu_k |f_k|_2 |v_k|_2``."""
     abs_sum = spectral_report(rep).abs_sum
     singular_sum = float(np.linalg.svd(assemble(rep).matrix, compute_uv=False).sum())
-    nuclear_bound = float(rep.mu.sum())
+    l2 = lp(2, rep.ambient.dim)
+    norms_f = np.array([ref_norm(f, l2) for f in rep.functionals])
+    norms_v = np.array([ref_norm(v, l2) for v in rep.vectors])
+    nuclear_bound = float((rep.mu * norms_f * norms_v).sum())
     tol = RESIDUAL_BUDGET * (1.0 + nuclear_bound)
     return {
         "abs_sum": abs_sum,

@@ -128,6 +128,20 @@ class TestWeyl:
             rep = random_rep(rng, p, int(rng.integers(3, 24)), int(rng.integers(1, 12)))
             assert weyl_check(rep)["pass"]
 
+    @pytest.mark.parametrize("p", (3, "inf"))
+    @pytest.mark.parametrize("n", (2, 4, 8))
+    def test_hadamard_rep_attains_the_l2_term_bound(self, p, n):
+        # Sylvester-Hadamard H = sum_k h_k e_k^T (functional e_k, vector the
+        # column h_k): all n singular values are sqrt(n), and so is |h_k|_2,
+        # so sum sigma = sum_k mu_k |e_k|_2 |h_k|_2 = n sqrt(n) > sum mu_k
+        h = np.ones((1, 1))
+        while h.shape[0] < n:
+            h = np.block([[h, h], [h, -h]])
+        out = weyl_check(NuclearRep(lp(p, n), np.ones(n), np.eye(n), h.T))
+        assert out["pass"]
+        assert out["singular_sum"] == pytest.approx(n * math.sqrt(n), rel=1e-12)
+        assert out["nuclear_bound"] == pytest.approx(n * math.sqrt(n), rel=1e-12)
+
 
 class TestLadder:
     def test_closed_form_partial_sums(self):
