@@ -116,6 +116,9 @@ def _cmd_suite(args) -> int:
     if args.out is not None:
         config = dataclasses.replace(config, out_dir=args.out)
     names = [args.only] if args.only else sorted(_SUITES)
+    # checked here as well as in the ladder suite, so no suite writes first
+    if "ladder" in names and len(config.ladder) < 3:
+        raise ValueError("ladder suite needs at least three levels")
     failed = 0
     for name in names:
         report = _SUITES[name](config)
@@ -143,7 +146,8 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:

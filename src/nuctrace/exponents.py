@@ -96,10 +96,6 @@ class Exponent:
             raise ValueError(f"reciprocal must lie in [0, 1], got {recip}")
         return cls("inf") if recip == 0 else cls(1 / recip)
 
-    @classmethod
-    def parse(cls, text: str) -> "Exponent":
-        return cls(text)
-
     @property
     def reciprocal(self) -> Fraction:
         return self._recip
@@ -180,10 +176,6 @@ class OrderExponent:
             raise ValueError(f"order must lie in (0, 1], got {value}")
         self._value = value
 
-    @classmethod
-    def parse(cls, text: str) -> "OrderExponent":
-        return cls(text)
-
     @property
     def value(self) -> Fraction:
         return self._value
@@ -205,18 +197,6 @@ class OrderExponent:
 
     def __hash__(self):
         return hash(self._value)
-
-    def __lt__(self, other) -> bool:
-        return self._value < OrderExponent(other)._value
-
-    def __le__(self, other) -> bool:
-        return self._value <= OrderExponent(other)._value
-
-    def __gt__(self, other) -> bool:
-        return self._value > OrderExponent(other)._value
-
-    def __ge__(self, other) -> bool:
-        return self._value >= OrderExponent(other)._value
 
     def __str__(self) -> str:
         return str(self._value)

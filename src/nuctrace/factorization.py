@@ -35,12 +35,9 @@ from .nuclear import NuclearRep, assemble
 from .seqspace import (
     DenseOperator,
     DiagonalOperator,
-    Vector,
     c0,
     compose,
     conjugate_tag,
-    diagonal_operator,
-    identity_injection,
     linf,
     lp,
     lp_norm,
@@ -167,10 +164,10 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
 
     stages = (
         DenseOperator(rep.functionals, tag_y, tag_inf),
-        diagonal_operator(d1ms, tag_inf, tag_r),
-        identity_injection(tag_r, tag_c0),
-        diagonal_operator(d1, tag_c0, tag_2),
-        diagonal_operator(d2, tag_2, tag_1),
+        DiagonalOperator(d1ms, tag_inf, tag_r),
+        DiagonalOperator(np.ones(k), tag_r, tag_c0),
+        DiagonalOperator(d1, tag_c0, tag_2),
+        DiagonalOperator(d2, tag_2, tag_1),
         DenseOperator(rep.vectors.T, tag_1, tag_y),
     )
     target = assemble(rep).matrix
@@ -214,8 +211,8 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     norm_a = float(row_norms(a.matrix, conjugate_tag(a.domain)).max())
     norm_b = float(row_norms(b.matrix.T, b.codomain).max())
     # each diagonal in its stage's codomain, lp(r) and lp(2)
-    d1ms_r = lp_norm(Vector(pipe.stage_d1ms.diag, pipe.stage_d1ms.codomain))
-    d_l2 = lp_norm(Vector(pipe.stage_d1.diag, pipe.stage_d1.codomain))
+    d1ms_r = lp_norm(pipe.stage_d1ms.diag, pipe.stage_d1ms.codomain)
+    d_l2 = lp_norm(pipe.stage_d1.diag, pipe.stage_d1.codomain)
 
     certs = [
         SummingCertificate(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -75,8 +76,8 @@ class DecayProfile:
     term_count: int
 
     def __post_init__(self):
-        if not self.exponent_multiplier >= 1.0:
-            raise ValueError("exponent_multiplier must be >= 1 for summable weights")
+        if not 1.0 <= self.exponent_multiplier < math.inf:
+            raise ValueError("exponent_multiplier must be finite and >= 1 for summable weights")
         if not _is_int(self.term_count) or self.term_count < 1:
             raise ValueError(f"term_count must be a positive integer, got {self.term_count!r}")
 
@@ -87,8 +88,8 @@ class Tolerances:
     trace: float = 1e-10
 
     def __post_init__(self):
-        if not (self.reconstruction > 0 and self.trace > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.reconstruction < math.inf and 0 < self.trace < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,8 @@ def config_from_json(data) -> ExperimentConfig:
     tol = json_object(data.get("tolerances", {}), "config tolerances")
     if not isinstance(data["ladder"], list):
         raise ValueError("config ladder must be a JSON array")
+    if not isinstance(data.get("out_dir", "."), str):
+        raise ValueError("config out_dir must be a JSON string")
     try:
         return ExperimentConfig(
             p=Exponent(data["p"]),
@@ -167,7 +170,7 @@ def config_from_json(data) -> ExperimentConfig:
                 reconstruction=float(tol.get("reconstruction", 1e-10)),
                 trace=float(tol.get("trace", 1e-10)),
             ),
-            out_dir=str(data.get("out_dir", ".")),
+            out_dir=data.get("out_dir", "."),
             cases_per_level=data.get("cases_per_level", 25),
         )
     except (TypeError, OverflowError) as exc:

@@ -8,9 +8,10 @@ requires exact tag equality at every junction, which turns wiring mistakes
 in multi-stage factorizations into immediate errors instead of silently
 wrong numbers.
 
-Vectors and operators are immutable float64 arrays tagged with their
-spaces; truncation levels are capped at 4096.  A diagonal operator is stored
-as its diagonal, which :func:`compose` applies by scaling rows.
+Operators are immutable float64 arrays tagged with their domain and
+codomain; truncation levels are capped at 4096.  A diagonal operator is
+stored as its diagonal, which :func:`compose` applies by scaling rows.
+Vectors and functionals are plain arrays, one per row, normed against a tag.
 
 :func:`row_norms` takes the norm of every row of a ``(k, dim)`` array in
 one pass; :func:`lp_norm` is its one-row case, so the library has a single
@@ -30,7 +31,6 @@ __all__ = [
     "MAX_DIM",
     "SpaceMismatchError",
     "SpaceTag",
-    "Vector",
     "DenseOperator",
     "DiagonalOperator",
     "lp",
@@ -39,12 +39,7 @@ __all__ = [
     "conjugate_tag",
     "lp_norm",
     "row_norms",
-    "dual_pairing",
-    "normalize",
-    "apply",
     "compose",
-    "identity_injection",
-    "diagonal_operator",
     "json_object",
     "tag_to_json",
     "operator_to_json",
@@ -112,22 +107,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Vector:
-    coords: np.ndarray
-    space: SpaceTag
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64, copy=True)
-        if coords.ndim != 1 or coords.shape != (self.space.dim,):
-            raise ValueError(
-                f"coordinates of shape {coords.shape} do not match {self.space}"
-            )
-        if not np.isfinite(coords).all():
-            raise ValueError(f"coordinates in {self.space} must be finite")
-        object.__setattr__(self, "coords", _freeze(coords))
-
-
-@dataclass(frozen=True)
 class DenseOperator:
     matrix: np.ndarray
     domain: SpaceTag
@@ -191,31 +170,9 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     return top * np.power(x.sum(axis=1), 1.0 / pf)
 
 
-def lp_norm(v: Vector) -> float:
-    """Norm of ``v`` in its tagged space: the one-row case of :func:`row_norms`."""
-    return float(row_norms(v.coords[None, :], v.space)[0])
-
-
-def dual_pairing(f: Vector, v: Vector) -> float:
-    """Bilinear pairing ``sum_i f_i v_i`` between a functional and a vector."""
-    if f.space != conjugate_tag(v.space):
-        raise SpaceMismatchError(
-            f"functional tagged {f.space} cannot pair with vector in {v.space}"
-        )
-    return float(np.dot(f.coords, v.coords))
-
-
-def normalize(v: Vector) -> Vector:
-    nrm = lp_norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return Vector(v.coords / nrm, v.space)
-
-
-def apply(op: Operator, v: Vector) -> Vector:
-    if v.space != op.domain:
-        raise SpaceMismatchError(f"vector in {v.space} fed to operator on {op.domain}")
-    return Vector(op.matrix @ v.coords, op.codomain)
+def lp_norm(x: np.ndarray, tag: SpaceTag) -> float:
+    """Norm of the 1-d array ``x`` in ``tag``: the one-row case of :func:`row_norms`."""
+    return float(row_norms(x[None, :], tag)[0])
 
 
 def compose(ops: Sequence[Operator]) -> DenseOperator:
@@ -239,17 +196,6 @@ def compose(ops: Sequence[Operator]) -> DenseOperator:
         else:
             product = op.matrix @ product
     return DenseOperator(product, ops[0].domain, ops[-1].codomain)
-
-
-def identity_injection(domain: SpaceTag, codomain: SpaceTag) -> DiagonalOperator:
-    """The formal identity between two tags of equal truncation."""
-    if domain.dim != codomain.dim:
-        raise SpaceMismatchError("identity injection needs equal truncations")
-    return DiagonalOperator(np.ones(domain.dim), domain, codomain)
-
-
-def diagonal_operator(diag, domain: SpaceTag, codomain: SpaceTag) -> DiagonalOperator:
-    return DiagonalOperator(np.asarray(diag, dtype=np.float64).reshape(-1), domain, codomain)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -107,6 +107,8 @@ CONFIG = {
     "ladder": [16, 32, 64],
     "seed": 1,
 }
+# an entry whose data is a str is written to the file verbatim, for numbers
+# like 1e400 that json.dumps cannot produce
 MALFORMED = {
     "rep_term_without_functional": (
         "spectrum",
@@ -140,6 +142,21 @@ MALFORMED = {
         "suite",
         {**CONFIG, "decay": {"exponent_multiplier": 1.1, "term_count": "4"}},
     ),
+    # an infinite tolerance would pass every case, an infinite multiplier
+    # zeroes every weight past the first, and a non-string out_dir would
+    # name a directory "['x']"
+    "config_trace_tolerance_inf_string": ("suite", {**CONFIG, "tolerances": {"trace": "inf"}}),
+    "config_trace_tolerance_1e400": (
+        "suite",
+        '{"p": "2", "family": "random_unit", "ladder": [16, 32, 64], "seed": 1, '
+        '"decay": {"exponent_multiplier": 1.1, "term_count": 4}, "tolerances": {"trace": 1e400}}',
+    ),
+    "config_exponent_multiplier_1e400": (
+        "suite",
+        '{"p": "2", "family": "random_unit", "ladder": [16, 32, 64], "seed": 1, '
+        '"decay": {"exponent_multiplier": 1e400, "term_count": 4}}',
+    ),
+    "config_out_dir_list": ("suite", {**CONFIG, "out_dir": ["x"]}),
 }
 
 
@@ -148,7 +165,7 @@ class TestMalformedJson:
     def test_exits_2_with_one_line(self, name, tmp_path, capsys):
         command, data = MALFORMED[name]
         src = tmp_path / f"{name}.json"
-        src.write_text(json.dumps(data))
+        src.write_text(data if isinstance(data, str) else json.dumps(data))
         flag = "--config" if command == "suite" else "--rep"
         assert cli_main([command, flag, str(src)]) == 2
         captured = capsys.readouterr()
@@ -288,6 +305,12 @@ class TestFactorizeCommand:
         assert cli_main(["factorize", "--rep", str(src), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["triple"]["p"] == "4"
 
+    def test_unwritable_out_exits_2_with_one_line(self, rep_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "pipe.json"
+        assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_degenerate_rep_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "empty.json"
         src.write_text(json.dumps({"ambient": {"p": "2", "dim": 3}, "order_s": "1", "terms": []}))
@@ -333,6 +356,25 @@ class TestSuiteCommand:
         tight = tmp_path / "tight.json"
         tight.write_text(json.dumps(cfg))
         assert cli_main(["suite", "--config", str(tight), "--only", "trace"]) == 1
+
+    def test_out_under_a_regular_file_exits_2_with_one_line(self, config_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["suite", "--config", str(config_file), "--only", "trace", "--out", str(blocker / "d")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_short_ladder_is_rejected_before_any_suite_runs(self, config_file, tmp_path, capsys):
+        cfg = json.loads(config_file.read_text())
+        cfg["ladder"] = [4, 8]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli_main(["suite", "--config", str(short), "--out", str(out)]) == 2
+        assert "at least three levels" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_bad_subcommand_exits_2(self, capsys):
         assert cli_main(["bogus"]) == 2

@@ -28,7 +28,7 @@ class TestExponentType:
         assert str(Exponent("2")) == "2"
         assert str(Exponent("INF")) == "inf"
         assert str(Exponent("inf")) == "inf"
-        assert Exponent.parse("4/3") == Exponent(F(4, 3))
+        assert Exponent("4/3") == Exponent(F(4, 3))
 
     def test_reciprocal_of_inf_is_exact_zero(self):
         assert INF.reciprocal == 0

@@ -20,7 +20,6 @@ from nuctrace import (
     run_factorization_suite,
     run_ladder_suite,
     run_trace_suite,
-    Vector,
 )
 
 
@@ -124,8 +123,8 @@ class TestGenerateFamily:
         conj = conjugate_tag(rep.ambient)
         assert str(conj.p) == "4/3"
         for k in range(len(rep)):
-            assert abs(lp_norm(Vector(rep.vectors[k], rep.ambient)) - 1) <= 1e-12
-            assert abs(lp_norm(Vector(rep.functionals[k], conj)) - 1) <= 1e-12
+            assert abs(lp_norm(rep.vectors[k], rep.ambient) - 1) <= 1e-12
+            assert abs(lp_norm(rep.functionals[k], conj) - 1) <= 1e-12
 
     def test_shared_functional_rotations_family(self, tmp_path):
         # rotations redistribute weights but keep the rep well formed
