@@ -10,6 +10,14 @@ suite     --config <file> [--only trace|factorize|ladder] [--out DIR] [--seed N]
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage or
 configuration error.  Diagnostics go to stderr; data goes to files or
 stdout.
+
+Rep and config files are parsed as strict JSON by orjson: ``NaN`` and
+``Infinity`` literals, numbers that overflow a double, a byte order mark
+and lone surrogates exit 2; integers past 64 bits parse as floats.  The
+pipeline file is written by orjson (compact, shortest round-trip numbers),
+the stdout lines by the stdlib ``json``.  An unwritable output is found
+before any work: ``factorize`` checks the directory of ``--out`` before it
+loads the rep, and ``suite`` creates its output directory first.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import orjson
 
 from .exponents import Exponent
 from .factorization import build_pipeline, exponent_budget, pipeline_to_json
@@ -74,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return orjson.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -98,11 +108,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {out}: no directory {out.parent}")
     rep = _load_rep(args.rep)
     if rep.ambient.p < 2:
         rep = adjoint_rep(rep)
     pipe = build_pipeline(rep)
-    Path(args.out).write_text(json.dumps(pipeline_to_json(pipe), sort_keys=True) + "\n")
+    out.write_bytes(orjson.dumps(pipeline_to_json(pipe), option=orjson.OPT_SORT_KEYS) + b"\n")
     print(f"wrote pipeline for p={pipe.triple.p} to {args.out}", file=sys.stderr)
     return 0
 
@@ -119,6 +132,7 @@ def _cmd_suite(args) -> int:
     # checked here as well as in the ladder suite, so no suite writes first
     if "ladder" in names and len(config.ladder) < 3:
         raise ValueError("ladder suite needs at least three levels")
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     failed = 0
     for name in names:
         report = _SUITES[name](config)

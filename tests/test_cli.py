@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,24 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nuctrace
-from nuctrace import NuclearRep, cli_main, config_from_json, lp, rep_from_json, rep_to_json
+import nuctrace.cli as cli
+from nuctrace import (
+    NuclearRep,
+    adjoint_rep,
+    build_pipeline,
+    cli_main,
+    config_from_json,
+    lp,
+    pipeline_to_json,
+    rep_from_json,
+    rep_to_json,
+)
 
 from conftest import make_rng, random_rep
 
@@ -107,6 +120,11 @@ CONFIG = {
     "ladder": [16, 32, 64],
     "seed": 1,
 }
+# a valid rep as text, for the entries below that break it in one place
+REP_TEXT = (
+    '{"ambient": {"p": "2", "dim": 2}, '
+    '"terms": [{"mu": 1.0, "functional": [1.0, 0.0], "vector": [0.5, 0.0]}]}'
+)
 # an entry whose data is a str is written to the file verbatim, for numbers
 # like 1e400 that json.dumps cannot produce
 MALFORMED = {
@@ -157,10 +175,21 @@ MALFORMED = {
         '"decay": {"exponent_multiplier": 1e400, "term_count": 4}}',
     ),
     "config_out_dir_list": ("suite", {**CONFIG, "out_dir": ["x"]}),
+    # input files are strict JSON: no NaN or Infinity literal, no number
+    # that overflows a double, no byte order mark
+    "rep_nan_literal": ("spectrum", REP_TEXT.replace('"mu": 1.0', '"mu": NaN')),
+    "rep_infinity_literal": ("spectrum", REP_TEXT.replace("[1.0, 0.0]", "[Infinity, 0.0]")),
+    "rep_coordinate_1e400": ("spectrum", REP_TEXT.replace("[0.5, 0.0]", "[1e400, 0.0]")),
+    "rep_utf8_bom": ("spectrum", "\ufeff" + REP_TEXT),
 }
 
 
 class TestMalformedJson:
+    def test_rep_text_is_valid(self, tmp_path, capsys):
+        src = tmp_path / "rep.json"
+        src.write_text(REP_TEXT)
+        assert cli_main(["spectrum", "--rep", str(src)]) == 0
+
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_exits_2_with_one_line(self, name, tmp_path, capsys):
         command, data = MALFORMED[name]
@@ -178,6 +207,65 @@ class TestMalformedJson:
         start = time.perf_counter()
         self.test_exits_2_with_one_line(name, tmp_path, capsys)
         assert time.perf_counter() - start < 1.0
+
+
+def _bits(values):
+    """Each float exactly, as its hex spelling: 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def decimal_literals(draw):
+    """JSON number literals with 1-40 significant digits and exponents in +-340."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    mantissa = digits if len(digits) == 1 else f"{digits[0]}.{digits[1:]}"
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{mantissa}e{draw(st.integers(-340, 340))}"
+
+
+class TestOrjsonParity:
+    """The CLI reads its input files and writes the pipeline file with
+    orjson; it must read and write the same doubles as the stdlib json."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_loads_matches_json_on_dumped_floats(self, values):
+        text = json.dumps(values)
+        assert _bits(orjson.loads(text)) == _bits(json.loads(text)) == _bits(values)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(decimal_literals())
+    def test_loads_matches_json_on_decimal_literals(self, literal):
+        expected = json.loads(literal)
+        if math.isinf(expected):
+            # json reads an overflowing literal as inf; the CLI rejects it
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(literal)
+        else:
+            assert _bits([orjson.loads(literal)]) == _bits([expected])
+
+    def test_load_json_reads_a_rep_as_json_does(self, tmp_path):
+        text = json.dumps(rep_to_json(random_rep(make_rng(5), "3", 40, 12)))
+        src = tmp_path / "rep.json"
+        src.write_text(text)
+        got, want = rep_from_json(cli._load_json(str(src))), rep_from_json(json.loads(text))
+        for name in ("mu", "functionals", "vectors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("p", ["inf", "3", "4/3"])
+    def test_pipeline_file_holds_the_pipeline(self, p, tmp_path, capsys):
+        src, out = tmp_path / "rep.json", tmp_path / "pipe.json"
+        src.write_text(json.dumps(rep_to_json(random_rep(make_rng(17), p, 12, 8))))
+        assert cli_main(["factorize", "--rep", str(src), "--out", str(out)]) == 0
+        rep = rep_from_json(json.loads(src.read_text()))
+        if rep.ambient.p < 2:
+            rep = adjoint_rep(rep)
+        text = out.read_text()
+        # orjson writes a non-finite float as null
+        assert "null" not in text
+        # re-spelled by json, the file is what json.dumps writes for the pipeline
+        parsed = json.dumps(json.loads(text), sort_keys=True)
+        assert parsed == json.dumps(pipeline_to_json(build_pipeline(rep)), sort_keys=True)
 
 
 JSON_VALUES = st.recursive(
@@ -311,6 +399,23 @@ class TestFactorizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_missing_out_directory_stops_before_the_pipeline(
+        self, rep_file, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_load_rep", lambda path: calls.append("load"))
+        monkeypatch.setattr(cli, "build_pipeline", lambda rep: calls.append("build"))
+        out = tmp_path / "missing" / "pipe.json"
+        assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+
+    def test_out_in_the_working_directory(self, rep_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["factorize", "--rep", str(rep_file), "--out", "pipe.json"]) == 0
+        assert (tmp_path / "pipe.json").exists()
+
     def test_degenerate_rep_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "empty.json"
         src.write_text(json.dumps({"ambient": {"p": "2", "dim": 3}, "order_s": "1", "terms": []}))
@@ -364,6 +469,20 @@ class TestSuiteCommand:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_under_a_regular_file_stops_before_any_suite(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        for name in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, name, lambda config, name=name: calls.append(name))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["suite", "--config", str(config_file), "--out", str(blocker / "d")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
 
     def test_short_ladder_is_rejected_before_any_suite_runs(self, config_file, tmp_path, capsys):
         cfg = json.loads(config_file.read_text())

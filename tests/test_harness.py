@@ -91,6 +91,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="term_count"):
                 DecayProfile(1.1, bad)
 
+    # the CLI's strict JSON parser stops a 1e400 config value before these
+    # checks, so they are pinned here for library callers
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Tolerances(trace=math.inf),
+            lambda: Tolerances(reconstruction=math.nan),
+            lambda: DecayProfile(math.inf, 4),
+        ],
+        ids=["trace_inf", "reconstruction_nan", "multiplier_inf"],
+    )
+    def test_nonfinite_values_are_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
 
 class TestGenerateFamily:
     def test_diagonal_harmonic_weights(self, tmp_path):
