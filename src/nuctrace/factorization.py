@@ -162,6 +162,7 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     d1, d2 = split_diagonal(mu, triple.s)
     d1ms = np.power(mu, 1.0 - s)
 
+    # A and B are the rep's own read-only rows, shared rather than copied
     stages = (
         DenseOperator(rep.functionals, tag_y, tag_inf),
         DiagonalOperator(d1ms, tag_inf, tag_r),

@@ -217,8 +217,9 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
         eye = np.eye(n)[:k_terms]
         return NuclearRep(ambient, mu, eye, eye)
 
-    def unit_rows(draws, tag):
-        return draws / row_norms(draws, tag)[:, None]
+    def unit_rows(rows, tag):  # in place: the draws are this function's own
+        rows /= row_norms(rows, tag)[:, None]
+        return rows
 
     if config.family == "random_unit":
         # drawn in term order f_0, v_0, f_1, v_1, ...

@@ -186,6 +186,7 @@ def assemble(rep: NuclearRep) -> DenseOperator:
         m = np.zeros((n, n))
     else:
         m = (rep.mu[:, None] * rep.vectors).T @ rep.functionals
+    m.flags.writeable = False  # the operator keeps the fresh product, uncopied
     return DenseOperator(m, rep.ambient, rep.ambient)
 
 

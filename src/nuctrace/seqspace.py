@@ -8,10 +8,16 @@ requires exact tag equality at every junction, which turns wiring mistakes
 in multi-stage factorizations into immediate errors instead of silently
 wrong numbers.
 
-Operators are immutable float64 arrays tagged with their domain and
+Operators are read-only float64 arrays tagged with their domain and
 codomain; truncation levels are capped at 4096.  A diagonal operator is
 stored as its diagonal, which :func:`compose` applies by scaling rows.
 Vectors and functionals are plain arrays, one per row, normed against a tag.
+
+Sharing rule: a :class:`DenseOperator` keeps a read-only float64 array as
+it is, without a copy, and copies and freezes anything else.  Read-only is
+numpy's flag, not a guarantee: the owner of the memory can make it
+writeable again and change the operator under its feet, so only hand over
+arrays whose owner keeps them frozen (the rows of a ``NuclearRep``, say).
 
 :func:`row_norms` takes the norm of every row of a ``(k, dim)`` array in
 one pass; :func:`lp_norm` is its one-row case, so the library has a single
@@ -108,18 +114,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseOperator:
+    """A dense operator, ``matrix`` of shape ``(codomain.dim, domain.dim)``.
+    A read-only float64 ndarray is shared as it is (see the module's sharing
+    rule: its owner can make it writeable again); anything else is copied
+    and the copy frozen."""
+
     matrix: np.ndarray
     domain: SpaceTag
     codomain: SpaceTag
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64, copy=True)
+        m = self.matrix
+        if not (type(m) is np.ndarray and m.dtype == np.float64 and not m.flags.writeable):
+            m = _freeze(np.array(m, dtype=np.float64, copy=True))
         if m.ndim != 2 or m.shape != (self.codomain.dim, self.domain.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match "
                 f"{self.codomain.dim} x {self.domain.dim} for {self.domain} -> {self.codomain}"
             )
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -152,10 +165,11 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     for finite p (with the peak scaled out so large p does not underflow),
     sup otherwise.  At p = 2 every row goes through its own ``np.dot``,
     whose BLAS summation order a batched reduction would not reproduce.
-    The work array is C-ordered whatever the layout of ``rows`` (a column
-    block, say), so each row is summed in the one-vector order.
+    The work array is float64 and C-ordered whatever the dtype and layout
+    of ``rows`` (integers, a column block), so each row is summed in the
+    one-vector order.
     """
-    x = np.abs(rows, order="C")
+    x = np.abs(np.asarray(rows, dtype=np.float64), order="C")
     if tag.kind != "lp" or tag.p.is_inf:
         return x.max(axis=1, initial=0.0)
     pf = float(tag.p)
@@ -179,7 +193,10 @@ def compose(ops: Sequence[Operator]) -> DenseOperator:
     """Compose stages listed in application order (first applied first).
 
     A diagonal stage scales the rows of the running product, which gives
-    bit for bit the product with its dense matrix.
+    bit for bit the product with its dense matrix.  The second stage makes
+    the one fresh running product and each later diagonal stage scales it
+    in place, so no input stage is changed; the result is frozen, not
+    copied, and a single stage comes back sharing its own matrix.
     """
     if not ops:
         raise ValueError("compose needs at least one operator")
@@ -190,12 +207,16 @@ def compose(ops: Sequence[Operator]) -> DenseOperator:
                 f"but stage {i + 1} starts from {ops[i + 1].domain}"
             )
     product = ops[0].matrix
+    owned = False  # whether product is a fresh array compose may scale in place
     for op in ops[1:]:
-        if isinstance(op, DiagonalOperator):
-            product = op.diag[:, None] * product
-        else:
+        if not isinstance(op, DiagonalOperator):
             product = op.matrix @ product
-    return DenseOperator(product, ops[0].domain, ops[-1].codomain)
+        elif owned:
+            product *= op.diag[:, None]
+        else:
+            product = op.diag[:, None] * product
+        owned = True
+    return DenseOperator(_freeze(product), ops[0].domain, ops[-1].codomain)
 
 
 # --- JSON interchange -------------------------------------------------------

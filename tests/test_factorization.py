@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nuctrace import (
     INF,
+    DecayProfile,
+    ExperimentConfig,
     Exponent,
     NuclearRep,
     OrderExponent,
@@ -11,6 +15,7 @@ from nuctrace import (
     build_pipeline,
     check_holder_chain,
     exponent_budget,
+    generate_family,
     lp,
     pipeline_to_json,
     split_diagonal,
@@ -90,6 +95,13 @@ class TestBuildPipeline:
         err = np.linalg.norm(pipe.composed().matrix - target)
         assert err <= 1e-10 * (1 + np.linalg.norm(target))
 
+    def test_stages_a_and_b_share_the_reps_rows(self):
+        rep = random_rep(make_rng(23), 3, 12, 5)
+        pipe = build_pipeline(rep)
+        assert np.shares_memory(pipe.stage_a.matrix, rep.functionals)
+        assert np.shares_memory(pipe.stage_b.matrix, rep.vectors)
+        assert not assemble(rep).matrix.flags.writeable
+
     def test_stage_tags_chain(self):
         rep = diagonal_rep([1.0, 0.5], p=3)
         stages = build_pipeline(rep).stages()
@@ -126,6 +138,47 @@ class TestBuildPipeline:
                 * np.diag(pipe.stage_d1ms.matrix)
             )
             assert np.allclose(prod, pipe.mu, rtol=1e-13, atol=0.0)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of traced memory above what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
+
+
+class TestMemory:
+    """Peaks of the p = 3/2 factorize path at k = n, counted in n^2 doubles.
+
+    numpy reports its buffers to tracemalloc, so the counts do not depend
+    on the allocator.  A family holds its two row arrays, drawn once and
+    normalized in place, plus the rep's two; a pipeline holds the assembled
+    target, the composed product and their difference above the rep it
+    shares A and B with.
+    """
+
+    N = 256
+
+    def test_factorize_path_peaks(self):
+        n = self.N
+        cfg = ExperimentConfig(p="3/2", family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        generate_family(cfg, n)  # first-call allocations are not the path's
+        rep, peak = _traced_peak(lambda: generate_family(cfg, n))
+        assert len(rep) == n
+        assert peak <= 4.25 * n * n * 8
+        rep = adjoint_rep(rep)
+        _, peak = _traced_peak(lambda: build_pipeline(rep))
+        assert peak <= 3.25 * n * n * 8
 
 
 class TestCertificates:

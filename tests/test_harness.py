@@ -20,6 +20,7 @@ from nuctrace import (
     run_factorization_suite,
     run_ladder_suite,
     run_trace_suite,
+    row_norms,
 )
 
 
@@ -140,6 +141,23 @@ class TestGenerateFamily:
         for k in range(len(rep)):
             assert abs(lp_norm(rep.vectors[k], rep.ambient) - 1) <= 1e-12
             assert abs(lp_norm(rep.functionals[k], conj) - 1) <= 1e-12
+
+    def test_random_unit_rows_are_the_normalized_draws(self, tmp_path):
+        # dividing the draws in place is bit for bit dividing a copy
+        cfg = small_config(
+            tmp_path, p=Exponent("3/2"), decay=DecayProfile(1.1, 16), ladder=(4, 8, 16)
+        )
+        rep = generate_family(cfg, 16)
+        ambient = lp("3/2", 16)
+        conj = conjugate_tag(ambient)
+        draws = harness._generator(cfg.seed, 16).standard_normal((16, 2, 16))
+        fun, vec = draws[:, 0], draws[:, 1]
+        want = NuclearRep(ambient, harness._decay_weights(cfg, 16),
+                          fun / row_norms(fun, conj)[:, None],
+                          vec / row_norms(vec, ambient)[:, None])
+        assert np.array_equal(rep.mu, want.mu)
+        assert np.array_equal(rep.functionals, want.functionals)
+        assert np.array_equal(rep.vectors, want.vectors)
 
     def test_shared_functional_rotations_family(self, tmp_path):
         # rotations redistribute weights but keep the rep well formed

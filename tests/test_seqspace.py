@@ -77,6 +77,16 @@ class TestNorms:
                 strided = np.repeat(rows, 2, axis=1)[:, ::2]
                 assert np.array_equal(row_norms(strided, tag), expected)
 
+    def test_integer_rows_norm_as_float64(self):
+        ints = np.array([[1, 2, -3], [0, 0, 0], [4, -5, 6]])
+        for tag in (lp(1, 3), lp("4/3", 3), lp("3/2", 3), lp(2, 3), lp(3, 3),
+                    lp("7/3", 3), lp(np.inf, 3), c0(3), linf(3)):
+            got = row_norms(ints, tag)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, row_norms(ints.astype(np.float64), tag))
+            assert lp_norm(ints[2], tag) == lp_norm(ints[2].astype(np.float64), tag)
+        assert lp_norm(np.array([1, 2]), lp(3, 2)) == lp_norm(np.array([1.0, 2.0]), lp(3, 2))
+
     def test_row_norms_of_no_rows(self):
         for tag in (lp(1, 3), lp(2, 3), lp("7/3", 3), lp(np.inf, 3)):
             assert row_norms(np.zeros((0, 3)), tag).shape == (0,)
@@ -135,6 +145,56 @@ class TestOperators:
             right = compose([ops[0], compose(ops[1:])]).matrix
             denom = np.linalg.norm(left)
             assert np.linalg.norm(left - right) <= 1e-13 * max(denom, 1.0)
+
+    def test_dense_operator_shares_a_read_only_float64_array(self):
+        m = make_rng(58).standard_normal((3, 2))
+        m.flags.writeable = False
+        op = DenseOperator(m, lp(2, 2), lp(2, 3))
+        assert op.matrix is m and np.shares_memory(op.matrix, m)
+        # a read-only transposed view is shared as well
+        assert np.shares_memory(DenseOperator(m.T, lp(2, 3), lp(2, 2)).matrix, m)
+
+    def test_dense_operator_copies_anything_else(self):
+        tag = lp(2, 2)
+        sources = (np.array([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 2.0], [3.0, 4.0]],
+                   np.array([[1, 2], [3, 4]]))
+        for source in sources:
+            op = DenseOperator(source, tag, tag)
+            assert op.matrix.dtype == np.float64 and not op.matrix.flags.writeable
+            if isinstance(source, np.ndarray):
+                assert not np.shares_memory(op.matrix, source)
+            source[0][0] = 9
+            assert np.array_equal(op.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_compose_leaves_its_stages_unchanged(self):
+        rng = make_rng(59)
+        tag = lp(2, 4)
+
+        def dense():
+            return DenseOperator(rng.standard_normal((4, 4)), tag, tag)
+
+        def diag():
+            return DiagonalOperator(rng.uniform(0.5, 2.0, 4), tag, tag)
+
+        chains = (
+            [dense(), diag(), diag(), dense(), diag(), diag()],
+            [diag(), diag(), diag(), dense(), diag()],
+            [diag(), dense()],
+            [dense()],
+            [diag()],
+        )
+        for ops in chains:
+            before = [np.array(op.diag if isinstance(op, DiagonalOperator) else op.matrix)
+                      for op in ops]
+            expected = ops[0].matrix
+            for op in ops[1:]:
+                expected = op.matrix @ expected
+            out = compose(ops)
+            assert np.array_equal(out.matrix, expected)
+            assert not out.matrix.flags.writeable
+            for op, old in zip(ops, before):
+                now = op.diag if isinstance(op, DiagonalOperator) else op.matrix
+                assert np.array_equal(now, old)
 
     def test_injection_requires_equal_dims(self):
         with pytest.raises(SpaceMismatchError):
