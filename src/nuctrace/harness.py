@@ -30,6 +30,7 @@ from .factorization import build_pipeline, summing_certificates
 from .nuclear import (
     NuclearRep,
     SchemeNotApplicableError,
+    _generator,
     adjoint_rep,
     nuclear_trace,
     rewrite_equivalent,
@@ -68,6 +69,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _store_float(obj, name: str) -> float:
+    """The number rule of the float config fields: an int or a float is
+    stored as a float; a string or a boolean is rejected, not converted."""
+    value = getattr(obj, name)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    object.__setattr__(obj, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     """Weight decay ``mu_k = k^(-(1/s) * exponent_multiplier)`` over ``term_count`` terms."""
@@ -76,7 +88,7 @@ class DecayProfile:
     term_count: int
 
     def __post_init__(self):
-        if not 1.0 <= self.exponent_multiplier < math.inf:
+        if not 1.0 <= _store_float(self, "exponent_multiplier") < math.inf:
             raise ValueError("exponent_multiplier must be finite and >= 1 for summable weights")
         if not _is_int(self.term_count) or self.term_count < 1:
             raise ValueError(f"term_count must be a positive integer, got {self.term_count!r}")
@@ -88,8 +100,9 @@ class Tolerances:
     trace: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.reconstruction < math.inf and 0 < self.trace < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        for name in ("reconstruction", "trace"):
+            if not 0 < _store_float(self, name) < math.inf:
+                raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -154,34 +167,27 @@ def config_from_json(data) -> ExperimentConfig:
     tol = json_object(data.get("tolerances", {}), "config tolerances")
     if not isinstance(data["ladder"], list):
         raise ValueError("config ladder must be a JSON array")
-    if not isinstance(data.get("out_dir", "."), str):
+    if "out_dir" in data and not isinstance(data["out_dir"], str):
         raise ValueError("config out_dir must be a JSON string")
+
+    def given(obj: dict, *keys: str) -> dict:  # absent keys take the dataclass defaults
+        return {key: obj[key] for key in keys if key in obj}
+
     try:
         return ExperimentConfig(
             p=Exponent(data["p"]),
             family=data["family"],
-            decay=DecayProfile(
-                exponent_multiplier=float(decay["exponent_multiplier"]),
-                term_count=decay["term_count"],
-            ),
+            decay=DecayProfile(decay["exponent_multiplier"], decay["term_count"]),
             ladder=data["ladder"],
             seed=data["seed"],
-            tolerances=Tolerances(
-                reconstruction=float(tol.get("reconstruction", 1e-10)),
-                trace=float(tol.get("trace", 1e-10)),
-            ),
-            out_dir=data.get("out_dir", "."),
-            cases_per_level=data.get("cases_per_level", 25),
+            tolerances=Tolerances(**given(tol, "reconstruction", "trace")),
+            **given(data, "out_dir", "cases_per_level"),
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
 
 
 # --- deterministic stream derivation ----------------------------------------
-
-
-def _generator(*entropy: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _case_seed(seed: int, case_index: int) -> int:

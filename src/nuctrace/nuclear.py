@@ -24,7 +24,6 @@ import numpy as np
 from .exponents import OrderExponent, s_from_p
 from .seqspace import (
     DenseOperator,
-    SpaceMismatchError,
     SpaceTag,
     conjugate_tag,
     json_object,
@@ -41,7 +40,6 @@ __all__ = [
     "assemble",
     "adjoint_rep",
     "rewrite_equivalent",
-    "equivalent",
     "rep_to_json",
     "rep_from_json",
 ]
@@ -202,8 +200,10 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def _generator(*entropy: int) -> np.random.Generator:
+    """PCG64 seeded by ``SeedSequence(entropy)``; one seed ``s`` gives the
+    stream of ``SeedSequence(s)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _rewritten(rep: NuclearRep, mu, fun, vec) -> NuclearRep:
@@ -325,23 +325,12 @@ def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:
     """
     if scheme not in _REWRITE_SCHEMES:
         raise ValueError(f"unknown rewrite scheme {scheme!r}")
-    rng = _rng(seed)
+    rng = _generator(seed)
     if scheme == "split":
         return _split(rep, rng)
     if scheme == "merge":
         return _merge(rep, rng)
     return _rotate(rep, rng)
-
-
-def equivalent(rep1: NuclearRep, rep2: NuclearRep, tol: float) -> bool:
-    """Frobenius comparison of the assembled matrices at relative tolerance."""
-    if rep1.ambient != rep2.ambient:
-        raise SpaceMismatchError(
-            f"cannot compare reps on {rep1.ambient} and {rep2.ambient}"
-        )
-    m1 = assemble(rep1).matrix
-    m2 = assemble(rep2).matrix
-    return float(np.linalg.norm(m1 - m2)) <= tol * (1.0 + float(np.linalg.norm(m1)))
 
 
 def rep_to_json(rep: NuclearRep) -> dict:

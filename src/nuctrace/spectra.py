@@ -28,7 +28,7 @@ import numpy as np
 
 from .exponents import OrderExponent
 from .nuclear import NuclearRep, assemble, nuclear_trace
-from .seqspace import DenseOperator, lp, row_norms
+from .seqspace import DenseOperator, lp
 
 __all__ = [
     "EigensolverError",
@@ -36,7 +36,6 @@ __all__ = [
     "LadderRow",
     "eigen_spectrum",
     "spectral_report",
-    "weyl_check",
     "summability_ladder",
     "ladder_csv",
     "LADDER_CSV_HEADER",
@@ -167,39 +166,6 @@ def spectral_report(rep: NuclearRep) -> SpectralReport:
         lidskii_residual=abs(nuclear_trace(rep) - eigen_sum),
         dim=rep.ambient.dim,
     )
-
-
-def weyl_check(rep: NuclearRep) -> dict:
-    """Eigenvalue moduli against singular values against the term norms.
-
-    In finite dimensions ``sum |lambda_n| <= sum sigma_n`` always, and by the
-    triangle inequality in the trace norm the singular value sum of
-    ``sum mu_k v_k f_k^T`` is at most ``sum_k mu_k |f_k|_2 |v_k|_2`` at
-    every p (unit factors in ``l_p`` and ``l_p'`` do not bound it by
-    ``sum mu_k`` unless p = 2, where the two bounds agree up to rounding);
-    this is the desk-scale shadow of absolute eigenvalue summability for the
-    represented class.
-    """
-    ev, solved = _spectrum(rep)
-    if solved.shape[0] < rep.ambient.dim:  # the r x r coefficient matrix, not T
-        solved = assemble(rep).matrix
-    try:
-        sv = np.linalg.svd(solved, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"singular value solve failed: {exc}") from exc
-    abs_sum = float(np.abs(ev).sum())
-    singular_sum = float(sv.sum())
-    l2 = lp(2, rep.ambient.dim)
-    nuclear_bound = float(
-        (rep.mu * row_norms(rep.functionals, l2) * row_norms(rep.vectors, l2)).sum()
-    )
-    tol = RESIDUAL_BUDGET * (1.0 + nuclear_bound)
-    return {
-        "abs_sum": abs_sum,
-        "singular_sum": singular_sum,
-        "nuclear_bound": nuclear_bound,
-        "pass": bool(abs_sum <= singular_sum + tol and singular_sum <= nuclear_bound + tol),
-    }
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,21 @@ MALFORMED = {
         '"decay": {"exponent_multiplier": 1e400, "term_count": 4}}',
     ),
     "config_out_dir_list": ("suite", {**CONFIG, "out_dir": ["x"]}),
+    # float fields given as a boolean or a numeric string are rejected, not
+    # converted: true would load as a trace tolerance of 1.0
+    "config_trace_tolerance_boolean": ("suite", {**CONFIG, "tolerances": {"trace": True}}),
+    "config_reconstruction_tolerance_string": (
+        "suite",
+        {**CONFIG, "tolerances": {"reconstruction": "1e-3"}},
+    ),
+    "config_exponent_multiplier_string": (
+        "suite",
+        {**CONFIG, "decay": {"exponent_multiplier": "1.5", "term_count": 4}},
+    ),
+    "config_exponent_multiplier_boolean": (
+        "suite",
+        {**CONFIG, "decay": {"exponent_multiplier": True, "term_count": 4}},
+    ),
     # input files are strict JSON: no NaN or Infinity literal, no number
     # that overflows a double, no byte order mark
     "rep_nan_literal": ("spectrum", REP_TEXT.replace('"mu": 1.0', '"mu": NaN')),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nuctrace.harness as harness
+import nuctrace.nuclear as nuclear
 from nuctrace import (
     DecayProfile,
     Exponent,
@@ -92,6 +93,22 @@ class TestConfig:
             with pytest.raises(ValueError, match="term_count"):
                 DecayProfile(1.1, bad)
 
+    def test_float_fields_reject_strings_and_booleans(self):
+        # none of these is converted: True is not a tolerance of 1.0
+        for build in (
+            lambda: Tolerances(trace=True),
+            lambda: Tolerances(reconstruction="1e-3"),
+            lambda: DecayProfile("1.5", 4),
+            lambda: DecayProfile(True, 4),
+        ):
+            with pytest.raises(ValueError, match="must be a number"):
+                build()
+
+    def test_float_fields_store_floats(self):
+        assert type(DecayProfile(2, 4).exponent_multiplier) is float
+        tol = Tolerances(reconstruction=1, trace=np.float64(1e-9))
+        assert (type(tol.reconstruction), type(tol.trace)) == (float, float)
+
     # the CLI's strict JSON parser stops a 1e400 config value before these
     # checks, so they are pinned here for library callers
     @pytest.mark.parametrize(
@@ -150,7 +167,7 @@ class TestGenerateFamily:
         rep = generate_family(cfg, 16)
         ambient = lp("3/2", 16)
         conj = conjugate_tag(ambient)
-        draws = harness._generator(cfg.seed, 16).standard_normal((16, 2, 16))
+        draws = nuclear._generator(cfg.seed, 16).standard_normal((16, 2, 16))
         fun, vec = draws[:, 0], draws[:, 1]
         want = NuclearRep(ambient, harness._decay_weights(cfg, 16),
                           fun / row_norms(fun, conj)[:, None],

@@ -9,7 +9,6 @@ from nuctrace import (
     SchemeNotApplicableError,
     adjoint_rep,
     assemble,
-    equivalent,
     lp,
     nuclear_trace,
     quasi_norm_value,
@@ -277,25 +276,6 @@ class TestRewrites:
                 except SchemeNotApplicableError:
                     cur = rewrite_equivalent(cur, "split", seed=int(rng.integers(2**32)))
                 assert abs(nuclear_trace(cur) - t0) <= 1e-10 * (1 + mu_sum)
-
-
-class TestEquivalence:
-    def test_rewrite_is_equivalent(self):
-        rng = make_rng(84)
-        rep = random_rep(rng, 2, 6, 4)
-        assert equivalent(rep, rewrite_equivalent(rep, "split", 0), tol=1e-10)
-        assert equivalent(rep, rewrite_equivalent(rep, "rotate", 0), tol=1e-10)
-
-    def test_perturbed_weight_is_not_equivalent(self):
-        rep = diagonal_rep([2.0, 1.0])
-        bumped = NuclearRep(rep.ambient, [3.0, 1.0], np.eye(2), np.eye(2))
-        assert not equivalent(rep, bumped, tol=1e-10)
-
-    def test_ambient_mismatch_raises(self):
-        from nuctrace import SpaceMismatchError
-
-        with pytest.raises(SpaceMismatchError):
-            equivalent(diagonal_rep([1.0]), diagonal_rep([1.0], p=3), tol=1e-10)
 
 
 class TestJson:

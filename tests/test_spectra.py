@@ -14,7 +14,6 @@ from nuctrace import (
     nuclear_trace,
     spectral_report,
     summability_ladder,
-    weyl_check,
 )
 
 from conftest import make_rng, random_rep
@@ -104,43 +103,6 @@ class TestSpectralReport:
             ev = np.sort_complex(eigen_spectrum(conjugated))
             assert np.abs(ev - base).max() <= 1e-6 * norm
             assert abs(ev.sum() - base.sum()) <= 1e-8 * (1 + np.abs(base).sum())
-
-
-class TestWeyl:
-    def test_diagonal_equalities(self):
-        out = weyl_check(diagonal_rep([0.8, 0.4, 0.1]))
-        assert out["pass"]
-        assert out["abs_sum"] == pytest.approx(out["singular_sum"], rel=1e-12)
-        assert out["singular_sum"] == pytest.approx(out["nuclear_bound"], rel=1e-12)
-
-    def test_nilpotent_strict_inequalities(self):
-        rep = NuclearRep(lp(2, 2), [1.0], [e(0, 2)], [e(1, 2)])
-        out = weyl_check(rep)
-        assert out["pass"]
-        assert out["abs_sum"] == pytest.approx(0.0, abs=1e-12)
-        assert out["singular_sum"] == pytest.approx(1.0, rel=1e-12)
-        assert out["nuclear_bound"] == pytest.approx(1.0, rel=1e-12)
-
-    def test_hundred_random_trials(self):
-        rng = make_rng(33)
-        for trial in range(100):
-            p = (2, 3, np.inf)[trial % 3]
-            rep = random_rep(rng, p, int(rng.integers(3, 24)), int(rng.integers(1, 12)))
-            assert weyl_check(rep)["pass"]
-
-    @pytest.mark.parametrize("p", (3, "inf"))
-    @pytest.mark.parametrize("n", (2, 4, 8))
-    def test_hadamard_rep_attains_the_l2_term_bound(self, p, n):
-        # Sylvester-Hadamard H = sum_k h_k e_k^T (functional e_k, vector the
-        # column h_k): all n singular values are sqrt(n), and so is |h_k|_2,
-        # so sum sigma = sum_k mu_k |e_k|_2 |h_k|_2 = n sqrt(n) > sum mu_k
-        h = np.ones((1, 1))
-        while h.shape[0] < n:
-            h = np.block([[h, h], [h, -h]])
-        out = weyl_check(NuclearRep(lp(p, n), np.ones(n), np.eye(n), h.T))
-        assert out["pass"]
-        assert out["singular_sum"] == pytest.approx(n * math.sqrt(n), rel=1e-12)
-        assert out["nuclear_bound"] == pytest.approx(n * math.sqrt(n), rel=1e-12)
 
 
 class TestLadder:
