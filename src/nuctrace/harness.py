@@ -9,8 +9,10 @@ deterministic across platforms.  Every suite case owns the stream
 ``N`` owns ``SeedSequence((seed, N))``, so a case does not depend on the
 cases run before it.  Cases run serially, in case order.
 
-Suite data files are byte-stable for a fixed (config, seed): wall-clock
-metadata goes to a separate ``*_meta.json`` file that comparisons exclude.
+Suite data files are byte-stable for a fixed (config, seed) on the same
+numpy/BLAS build with the same BLAS thread count (dense eigensolves are not
+bitwise stable across thread counts): wall-clock metadata goes to a separate
+``*_meta.json`` file that comparisons exclude.
 """
 
 from __future__ import annotations

@@ -227,37 +227,48 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     sign, so both outer products point the same way.  Each term is
     sign-canonicalized (the functional's largest entry made positive, the
     vector flipped along) and the joint rows are sorted lexicographically
-    (stable): candidates are then adjacent, and all adjacent rows are
-    compared at once with the ``np.allclose`` test
-    ``|a - b| <= 1e-12 + 1e-9 |b|``.  Pairs come in sorted order, as
+    (stable), so candidates are adjacent.  Adjacent rows ``a, b`` are
+    compared with the ``np.allclose`` test ``|a - b| <= 1e-12 + 1e-9 |b|``,
+    which is elementwise: it runs first on two screening columns (the
+    functional's and the vector's first coordinates) and then on the full
+    rows of the pairs that pass.  Pairs come in sorted order, as
     ``(smaller index, larger index)``.
     """
-    k = len(rep)
+    k, n = len(rep), rep.ambient.dim
     if k < 2:
         return []
     lead = np.argmax(np.abs(rep.functionals), axis=1)
     signs = np.sign(rep.functionals[np.arange(k), lead])
     signs[signs == 0] = 1.0
-    canon = np.concatenate([rep.functionals, rep.vectors], axis=1) * signs[:, None]
-    # Each float as an unsigned key in the same order (negatives: all bits
-    # flipped; the rest: the sign bit set, so -0.0 gets the key of 0.0, which
-    # the float order ties it with), stored big-endian: one stable
-    # byte-string sort of the rows is the column-by-column lexicographic sort.
-    bits = canon.view(np.uint64)
-    keys = bits | np.uint64(1 << 63)
-    np.invert(bits, out=keys, where=canon < 0)
+    canon = np.concatenate([rep.functionals, rep.vectors], axis=1)
+    canon *= signs[:, None]
+    canon += 0.0  # -0.0 becomes 0.0, which the float order ties it with
+    # Each float as a 64-bit key whose unsigned value has the same order
+    # (negatives: all bits flipped; the rest: the sign bit set), stored
+    # big-endian: one stable byte-string sort of the rows is the
+    # column-by-column lexicographic sort.
+    bits = canon.view(np.int64)
+    keys = bits >> 63  # -1 on negatives, else 0
+    keys |= np.int64(-1 << 63)
+    keys ^= bits
     keys.byteswap(inplace=True)
     order = np.argsort(keys.view(f"S{keys.shape[1] * 8}")[:, 0], kind="stable")
-    del bits, keys  # frees the unsorted rows with the next line
-    canon = canon[order]
-    gap = canon[:-1] - canon[1:]
-    np.abs(gap, out=gap)
-    tol = np.abs(canon[1:])
-    tol *= 1e-9
-    tol += 1e-12
-    close = (gap <= tol).all(axis=1)
-    a, b = order[:-1][close], order[1:][close]
+    a, b = _close_rows(canon[:, [0, n]], order[:-1], order[1:])
+    a, b = _close_rows(canon, a, b)
     return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
+def _close_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The index pairs ``(a, b)`` whose rows pass ``|a - b| <= 1e-12 + 1e-9 |b|``."""
+    rb = rows[b]
+    gap = rows[a]
+    gap -= rb
+    np.abs(gap, out=gap)
+    np.abs(rb, out=rb)
+    rb *= 1e-9
+    rb += 1e-12
+    close = (gap <= rb).all(axis=1)
+    return a[close], b[close]
 
 
 def _merge(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
@@ -306,12 +317,18 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     # assembled matrix by at most 1e-14 relative, inside the contract
     weight = row_norms(fun, rep.conjugate) * row_norms(vec, rep.ambient)
     live = weight > 1e-14 * (mu_i + mu_j)
-    rest = np.delete(np.arange(len(rep)), [i, j])
+    # negative i, j count from the end, as in rep.mu[i] above, which also
+    # rejected an index out of range
+    lo, hi = sorted((i % len(rep), j % len(rep)))
+
+    def rest_then(rows, tail):
+        return np.concatenate([rows[:lo], rows[lo + 1 : hi], rows[hi + 1 :], tail])
+
     return _rewritten(
         rep,
-        np.concatenate([rep.mu[rest], np.ones(int(live.sum()))]),
-        np.concatenate([rep.functionals[rest], fun[live]]),
-        np.concatenate([rep.vectors[rest], vec[live]]),
+        rest_then(rep.mu, np.ones(int(live.sum()))),
+        rest_then(rep.functionals, fun[live]),
+        rest_then(rep.vectors, vec[live]),
     )
 
 

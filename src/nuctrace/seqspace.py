@@ -163,11 +163,11 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
 
     Each row gets exactly the arithmetic of a single-vector norm: power mean
     for finite p (with the peak scaled out so large p does not underflow),
-    sup otherwise.  At p = 2 every row goes through its own ``np.dot``,
-    whose BLAS summation order a batched reduction would not reproduce.
-    The work array is float64 and C-ordered whatever the dtype and layout
-    of ``rows`` (integers, a column block), so each row is summed in the
-    one-vector order.
+    sup otherwise.  At p = 2 the rows go through one ``np.vecdot``, which
+    sums each row in the order of ``np.dot`` on that row alone, not in the
+    pairwise order of ``np.sum``.  The work array is float64 and C-ordered
+    whatever the dtype and layout of ``rows`` (integers, a column block),
+    so each row is summed in the one-vector order.
     """
     x = np.abs(np.asarray(rows, dtype=np.float64), order="C")
     if tag.kind != "lp" or tag.p.is_inf:
@@ -176,7 +176,7 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     if pf == 1.0:
         return x.sum(axis=1)
     if pf == 2.0:
-        return np.sqrt(np.fromiter((np.dot(r, r) for r in x), np.float64, x.shape[0]))
+        return np.sqrt(np.vecdot(x, x))
     top = x.max(axis=1, initial=0.0)
     # zero rows divide by 1 instead of 0 and still come out as top * 0 = 0
     x /= np.where(top == 0.0, 1.0, top)[:, None]

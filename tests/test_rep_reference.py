@@ -288,6 +288,129 @@ def test_parallel_pairs_match_reference():
         assert pairs == ref_parallel_pairs(rep)
 
 
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_rotate_pair_at_edge_indices(p):
+    rng = make_rng(206)
+    for k in (2, 3, 7):
+        mu, fun, vec = scattered_arrays(rng, 9, k)
+        rep, ref = NuclearRep(lp(p, 9), mu, fun, vec), RefRep(lp(p, 9), zip(mu, fun, vec))
+        assert len(rep) == k
+        # first and last, adjacent at either end, and (1, k - 1) but for the
+        # (1, 1) of k = 2, each in both orders
+        ends = {(0, k - 1), (0, 1), (k - 2, k - 1), (1, k - 1)} - {(1, 1)}
+        for i, j in sorted(ends | {(j, i) for i, j in ends}):
+            theta = float(rng.uniform(np.pi / 8, 3 * np.pi / 8))
+            out = rotate_pair(rep, i, j, theta)
+            assert_same(out, RefRep(ref.ambient, ref_rotate_pair(ref, i, j, theta)))
+            assert len(out) == k
+            # negative indices name the same terms
+            assert_same(rotate_pair(rep, i - k, j - k, theta), out)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_quarter_pi_rotation_drops_one_term_at_any_position(p):
+    mu, fun, vec = shared_arrays(make_rng(207), 9, 3)
+    rep, ref = NuclearRep(lp(p, 9), mu, fun, vec), RefRep(lp(p, 9), zip(mu, fun, vec))
+    k = len(rep)
+    shared = [(i, j) for i in range(k) for j in range(i + 1, k)
+              if np.array_equal(rep.functionals[i], rep.functionals[j])]
+    assert len(shared) == 3
+    for i, j in shared + [(j, i) for i, j in shared]:
+        out = rotate_pair(rep, i, j, np.pi / 4)
+        assert_same(out, RefRep(ref.ambient, ref_rotate_pair(ref, i, j, np.pi / 4)))
+        assert len(out) == k - 1
+    # a two-term rep of one shared pair comes back as one term
+    pair = NuclearRep(lp(p, 9), mu[:2], fun[:2], vec[:2])
+    ref_pair = RefRep(pair.ambient, zip(mu[:2], fun[:2], vec[:2]))
+    out = rotate_pair(pair, 1, 0, np.pi / 4)
+    assert_same(out, RefRep(pair.ambient, ref_rotate_pair(ref_pair, 1, 0, np.pi / 4)))
+    assert len(out) == 1
+
+
+def boundary_gap():
+    """``(a, b, beyond)`` with ``beyond < a < b``: ``|a - b|`` is exactly
+    ``1e-12 + 1e-9 |b|`` in float arithmetic (and above ``1e-12 + 1e-9 |a|``),
+    and ``|beyond - b|`` is the next gap above it."""
+    b = 2.0**-40
+    tol = np.abs(b) * 1e-9 + 1e-12
+    a = b - tol
+    assert np.abs(a - b) == tol > np.abs(a) * 1e-9 + 1e-12
+    beyond = a
+    while np.abs(beyond - b) <= tol:
+        beyond = np.nextafter(beyond, -1.0)
+    return a, b, beyond
+
+
+def test_parallel_pairs_on_adversarial_rows():
+    # at p = 1 the functionals are normed in linf: rows led by 1.0 keep every
+    # coordinate bit for bit; the vectors are dyadic with l1 norm exactly 1
+    n = 8
+    base = np.array([1.0, 0.3, -0.2, 0.1, 0.0, 0.5, -0.7, 0.25])
+    v = np.array([0.5, -0.25, 0.0, 0.125, 0.0, 0.0, 0.125, 0.0])
+    groups = {}
+
+    def group(name, f_a, v_a, f_b, v_b, offset):
+        shift = np.zeros(n)
+        shift[1] = offset  # keeps the groups apart in the sort
+        groups[name] = [(f_a + shift, v_a), (f_b + shift, v_b)]
+
+    # equal on both screening columns, outside the tolerance later on
+    far_f, far_v = base.copy(), v.copy()
+    far_f[5] += 1e-6
+    far_v[[3, 5]] = 0.0625
+    group("screen_only_f", base, v, far_f, v, 0.0)
+    group("screen_only_v", base, v, base, far_v, -0.05)
+    # inside the tolerance, not bitwise equal: relative 5e-10 on the screening
+    # vector coordinate, spread over the whole vector by its l1 norm
+    near_v = v.copy()
+    near_v[0] *= 1 + 5e-10
+    group("near", base, v, base, near_v, 0.1)
+    near_f = base.copy()
+    near_f[6] *= 1 + 5e-10
+    group("near_f", base, v, near_f, v, 0.15)
+    # exactly on the boundary, and just beyond it
+    a, b, beyond = boundary_gap()
+    on_a, on_b, off_a = base.copy(), base.copy(), base.copy()
+    on_a[4], on_b[4], off_a[4] = a, b, beyond
+    group("on_boundary", on_a, v, on_b, v, 0.2)
+    group("off_boundary", off_a, v, on_b, v, 0.25)
+    # +-0.0 on both screening columns, one copy sign-flipped as a whole
+    zf, zv = base.copy(), v.copy()
+    zf[[0, 2]] = 0.0, 1.0
+    zv[[0, 2]] = 0.0, 0.5
+    signed = lambda x: np.where(x == 0, -0.0, x)
+    group("signed_zeros", zf, zv, signed(zf), signed(zv), -0.1)
+    zf[1] -= 0.15
+    group("flipped_zeros", zf, signed(zv), -zf, -zv, 0.0)
+
+    rows = [row for pair in groups.values() for row in pair]
+    funs, vecs = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    rep = NuclearRep(lp(1, n), np.linspace(1.0, 0.5, len(rows)), funs, vecs)
+    assert np.array_equal(rep.functionals, funs)
+    near = 2 * list(groups).index("near") + 1  # renormalized by 1 + 2.5e-10
+    kept = np.arange(len(rows)) != near
+    assert np.array_equal(rep.vectors[kept], vecs[kept])
+    assert not np.array_equal(rep.vectors[near], rep.vectors[near - 1])
+    pairs = _parallel_pairs(rep)
+    assert pairs == ref_parallel_pairs(rep)
+    found = {name for pos, name in enumerate(groups) if (2 * pos, 2 * pos + 1) in pairs}
+    assert found == {"near", "near_f", "on_boundary", "signed_zeros", "flipped_zeros"}
+    assert len(pairs) == len(found)
+    adj = adjoint_rep(rep)
+    assert _parallel_pairs(adj) == ref_parallel_pairs(adj)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_parallel_pairs_after_many_splits(p):
+    rng = make_rng(208)
+    rep = NuclearRep(lp(p, 128), *shared_arrays(rng, 128, 20))
+    for seed in range(24):
+        rep = rewrite_equivalent(rep, "split", seed)
+    pairs = _parallel_pairs(rep)
+    assert len(pairs) == 24  # each split adds one duplicate, shared pairs differ in v
+    assert pairs == ref_parallel_pairs(rep)
+
+
 def ref_family(config, n):
     """The per-term generator loop for the two random families."""
     k_terms = min(config.decay.term_count, n)

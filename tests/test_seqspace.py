@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuctrace import (
     DenseOperator,
@@ -16,6 +18,25 @@ from nuctrace import (
 from nuctrace.seqspace import operator_to_json
 
 from conftest import make_rng
+
+
+def per_row_dot_norms(rows):
+    """l2 row norms with one ``np.dot`` per C-ordered float64 row."""
+    x = np.abs(np.asarray(rows, dtype=np.float64), order="C")
+    return np.sqrt(np.fromiter((np.dot(r, r) for r in x), np.float64, x.shape[0]))
+
+
+def laid_out(rows, layout):
+    """``rows`` as a C-ordered, Fortran-ordered, column-block or integer array."""
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "block":
+        wide = np.zeros((rows.shape[0], rows.shape[1] + 5))
+        wide[:, 3 : 3 + rows.shape[1]] = rows
+        return wide[:, 3 : 3 + rows.shape[1]]
+    if layout == "int":
+        return np.rint(rows * 1000).astype(np.int64)
+    return rows
 
 
 class TestTags:
@@ -86,6 +107,25 @@ class TestNorms:
             assert np.array_equal(got, row_norms(ints.astype(np.float64), tag))
             assert lp_norm(ints[2], tag) == lp_norm(ints[2].astype(np.float64), tag)
         assert lp_norm(np.array([1, 2]), lp(3, 2)) == lp_norm(np.array([1.0, 2.0]), lp(3, 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 600),
+        st.integers(1, 600),
+        st.integers(-8, 8),
+        st.sampled_from(("C", "F", "block", "int")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_l2_row_norms_equal_per_row_dot(self, k, dim, scale, layout, seed):
+        rows = make_rng(seed).standard_normal((k, dim)) * 10.0**scale
+        rows = laid_out(rows, layout)
+        assert np.array_equal(row_norms(rows, lp(2, dim)), per_row_dot_norms(rows))
+
+    @pytest.mark.parametrize("dim", (2047, 2048, 4096))
+    @pytest.mark.parametrize("layout", ("C", "F", "block", "int"))
+    def test_l2_row_norms_equal_per_row_dot_at_large_dims(self, dim, layout):
+        rows = laid_out(make_rng(57, dim).standard_normal((7, dim)), layout)
+        assert np.array_equal(row_norms(rows, lp(2, dim)), per_row_dot_norms(rows))
 
     def test_row_norms_of_no_rows(self):
         for tag in (lp(1, 3), lp(2, 3), lp("7/3", 3), lp(np.inf, 3)):

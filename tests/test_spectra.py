@@ -11,7 +11,6 @@ from nuctrace import (
     eigen_spectrum,
     ladder_csv,
     lp,
-    nuclear_trace,
     spectral_report,
     summability_ladder,
 )
