@@ -4,137 +4,29 @@ The library builds finite nuclear representations, factors them through
 diagonal summing stages, and verifies at desk scale that the
 representation trace is rewrite-invariant and equal to the eigenvalue sum,
 with eigenvalue moduli summable along truncation ladders.
+
+The package re-exports every module's ``__all__``, in module order, and
+the command line entry point ``cli_main``.
 """
 
-from .exponents import (
-    INF,
-    Exponent,
-    OrderExponent,
-    ParameterTriple,
-    check_holder_chain,
-    conjugate,
-    r_from_s,
-    reduce_to_p_ge_2,
-    s_from_p,
-)
-from .seqspace import (
-    MAX_DIM,
-    DenseOperator,
-    DiagonalOperator,
-    SpaceMismatchError,
-    SpaceTag,
-    c0,
-    compose,
-    conjugate_tag,
-    linf,
-    lp,
-    lp_norm,
-    row_norms,
-)
-from .nuclear import (
-    NuclearRep,
-    SchemeNotApplicableError,
-    adjoint_rep,
-    assemble,
-    nuclear_trace,
-    quasi_norm_value,
-    rep_from_json,
-    rep_to_json,
-    rewrite_equivalent,
-)
-from .factorization import (
-    Pipeline,
-    SummingCertificate,
-    build_pipeline,
-    exponent_budget,
-    pipeline_to_json,
-    split_diagonal,
-    summing_certificates,
-)
-from .spectra import (
-    LadderRow,
-    SpectralReport,
-    EigensolverError,
-    eigen_spectrum,
-    ladder_csv,
-    spectral_report,
-    summability_ladder,
-)
-from .harness import (
-    FAMILIES,
-    DecayProfile,
-    ExperimentConfig,
-    SuiteReport,
-    Tolerances,
-    config_from_json,
-    config_to_json,
-    generate_family,
-    run_factorization_suite,
-    run_ladder_suite,
-    run_trace_suite,
-    write_suite_report,
-)
+from . import exponents, factorization, harness, nuclear, seqspace, spectra
+from .exponents import *
+from .seqspace import *
+from .nuclear import *
+from .factorization import *
+from .spectra import *
+from .harness import *
 from .cli import cli_main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF",
-    "Exponent",
-    "OrderExponent",
-    "ParameterTriple",
-    "check_holder_chain",
-    "conjugate",
-    "r_from_s",
-    "reduce_to_p_ge_2",
-    "s_from_p",
-    "MAX_DIM",
-    "DenseOperator",
-    "DiagonalOperator",
-    "SpaceMismatchError",
-    "SpaceTag",
-    "c0",
-    "compose",
-    "conjugate_tag",
-    "linf",
-    "lp",
-    "lp_norm",
-    "row_norms",
-    "NuclearRep",
-    "SchemeNotApplicableError",
-    "adjoint_rep",
-    "assemble",
-    "nuclear_trace",
-    "quasi_norm_value",
-    "rep_from_json",
-    "rep_to_json",
-    "rewrite_equivalent",
-    "Pipeline",
-    "SummingCertificate",
-    "build_pipeline",
-    "exponent_budget",
-    "pipeline_to_json",
-    "split_diagonal",
-    "summing_certificates",
-    "LadderRow",
-    "SpectralReport",
-    "EigensolverError",
-    "eigen_spectrum",
-    "ladder_csv",
-    "spectral_report",
-    "summability_ladder",
-    "FAMILIES",
-    "DecayProfile",
-    "ExperimentConfig",
-    "SuiteReport",
-    "Tolerances",
-    "config_from_json",
-    "config_to_json",
-    "generate_family",
-    "run_factorization_suite",
-    "run_ladder_suite",
-    "run_trace_suite",
-    "write_suite_report",
+    *exponents.__all__,
+    *seqspace.__all__,
+    *nuclear.__all__,
+    *factorization.__all__,
+    *spectra.__all__,
+    *harness.__all__,
     "cli_main",
     "__version__",
 ]

@@ -23,6 +23,7 @@ loads the rep, and ``suite`` creates its output directory first.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,19 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exponents", help="exact (p, s, r) triple for an exponent")
     p_exp.add_argument("--p", required=True, help='exponent: "2", "7/3" or "inf"')
+    p_exp.set_defaults(handler=_cmd_exponents)
 
     p_spec = sub.add_parser("spectrum", help="spectral report for a stored representation")
     p_spec.add_argument("--rep", required=True, help="representation JSON file")
+    p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_fac = sub.add_parser("factorize", help="factor a stored representation")
     p_fac.add_argument("--rep", required=True, help="representation JSON file")
     p_fac.add_argument("--out", required=True, help="output pipeline JSON file")
+    p_fac.set_defaults(handler=_cmd_factorize)
 
     p_suite = sub.add_parser("suite", help="run the verification suites")
     p_suite.add_argument("--config", required=True, help="experiment config JSON file")
     p_suite.add_argument("--only", choices=sorted(_SUITES), help="run a single suite")
     p_suite.add_argument("--out", help="override the config output directory")
     p_suite.add_argument("--seed", type=int, help="override the config seed")
+    p_suite.set_defaults(handler=_cmd_suite)
     return parser
 
 
@@ -121,8 +126,6 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    import dataclasses
-
     config = config_from_json(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -152,14 +155,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         # usage problems are reported on stderr with exit 2 already
         return int(exc.code) if exc.code is not None else 0
-    handlers = {
-        "exponents": _cmd_exponents,
-        "spectrum": _cmd_spectrum,
-        "factorize": _cmd_factorize,
-        "suite": _cmd_suite,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -243,9 +243,9 @@ def check_holder_chain(exps) -> bool:
 class ParameterTriple:
     """An exact ``(p, s, r)`` triple tied together by the curve identities.
 
-    Construction fails unless ``1/s = 1 + |1/2 - 1/p|`` and
-    ``1/r = 1/s - 1`` hold exactly (so ``(1 - s) r = s`` for finite ``r``,
-    and ``s = 1`` exactly when ``r = inf``).
+    Construction fails unless ``s == s_from_p(p)`` and ``r == r_from_s(s)``
+    hold exactly.  In exact arithmetic ``1/r = 1/s - 1`` already gives
+    ``(1 - s) r = s`` for finite ``r`` and ``s = 1`` exactly when ``r = inf``.
     """
 
     p: Exponent
@@ -257,15 +257,10 @@ class ParameterTriple:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "r", r)
-        if s.reciprocal != _ONE + abs(_HALF - p.reciprocal):
+        if s != s_from_p(p):
             raise ValueError(f"1/s = 1 + |1/2 - 1/p| fails for p={p}, s={s}")
-        if r.reciprocal != s.reciprocal - _ONE:
+        if r != r_from_s(s):
             raise ValueError(f"1/r = 1/s - 1 fails for s={s}, r={r}")
-        if r.is_inf:
-            if s.value != 1:
-                raise ValueError(f"r = inf requires s = 1, got s={s}")
-        elif (_ONE - s.value) * r.value != s.value:
-            raise ValueError(f"(1 - s) r = s fails for s={s}, r={r}")
 
     @classmethod
     def from_p(cls, p) -> "ParameterTriple":

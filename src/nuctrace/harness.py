@@ -30,6 +30,7 @@ import numpy as np
 from .exponents import Exponent, check_holder_chain, s_from_p
 from .factorization import build_pipeline, summing_certificates
 from .nuclear import (
+    _REWRITE_SCHEMES,
     NuclearRep,
     SchemeNotApplicableError,
     _generator,
@@ -143,22 +144,7 @@ class ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    return {
-        "p": str(config.p),
-        "family": config.family,
-        "decay": {
-            "exponent_multiplier": config.decay.exponent_multiplier,
-            "term_count": config.decay.term_count,
-        },
-        "ladder": list(config.ladder),
-        "seed": config.seed,
-        "tolerances": {
-            "reconstruction": config.tolerances.reconstruction,
-            "trace": config.tolerances.trace,
-        },
-        "out_dir": config.out_dir,
-        "cases_per_level": config.cases_per_level,
-    }
+    return {**dataclasses.asdict(config), "p": str(config.p), "ladder": list(config.ladder)}
 
 
 def config_from_json(data) -> ExperimentConfig:
@@ -330,7 +316,7 @@ def _run_cases(suite: str, config: ExperimentConfig, one_case) -> SuiteReport:
 def _rewrite_chain(rep: NuclearRep, steps: int, rng: np.random.Generator):
     """Apply random rewrites, falling back to a split when a scheme has no target."""
     for _ in range(steps):
-        scheme = ("split", "merge", "rotate")[int(rng.integers(3))]
+        scheme = _REWRITE_SCHEMES[int(rng.integers(len(_REWRITE_SCHEMES)))]
         seed = int(rng.integers(2**63))
         try:
             rep = rewrite_equivalent(rep, scheme, seed)
@@ -417,15 +403,7 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
     cases = []
     for row in rows:
         ok = row.residual <= RESIDUAL_BUDGET * (1.0 + row.abs_sum)
-        cases.append(
-            {
-                "level": row.level,
-                "abs_sum": row.abs_sum,
-                "tail_fraction": row.tail_fraction,
-                "residual": row.residual,
-                "status": "pass" if ok else "fail",
-            }
-        )
+        cases.append({**dataclasses.asdict(row), "status": "pass" if ok else "fail"})
     gaps = [b.abs_sum - a.abs_sum for a, b in zip(rows, rows[1:])]
     if config.family == "diagonal":
         # S_N is a monotone partial sum only for the diagonal family, where

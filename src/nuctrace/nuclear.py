@@ -305,9 +305,14 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     rotated terms follow them.  When the pair shares a functional the
     rotation redistributes weight between the two terms; at theta = pi/4
     one term degenerates to zero and is dropped, which merges the pair.
+    Negative ``i``, ``j`` count from the end; naming one term twice raises
+    ``ValueError``.
     """
     c, s = np.cos(theta), np.sin(theta)
-    mu_i, mu_j = rep.mu[i], rep.mu[j]
+    mu_i, mu_j = rep.mu[i], rep.mu[j]  # rejects an index out of range
+    lo, hi = sorted((i % len(rep), j % len(rep)))
+    if lo == hi:
+        raise ValueError(f"rotate_pair needs two distinct terms, got {i} and {j}")
     f_i, f_j = rep.functionals[i], rep.functionals[j]
     x_i, x_j = mu_i * rep.vectors[i], mu_j * rep.vectors[j]
     fun = np.array([c * f_i + s * f_j, -s * f_i + c * f_j])
@@ -317,9 +322,6 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     # assembled matrix by at most 1e-14 relative, inside the contract
     weight = row_norms(fun, rep.conjugate) * row_norms(vec, rep.ambient)
     live = weight > 1e-14 * (mu_i + mu_j)
-    # negative i, j count from the end, as in rep.mu[i] above, which also
-    # rejected an index out of range
-    lo, hi = sorted((i % len(rep), j % len(rep)))
 
     def rest_then(rows, tail):
         return np.concatenate([rows[:lo], rows[lo + 1 : hi], rows[hi + 1 :], tail])

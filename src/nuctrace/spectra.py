@@ -138,6 +138,7 @@ def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, np.ndarray]:
             starts = np.searchsorted(labels[by_group], np.arange(r))
             m = np.add.reduceat(m[:, by_group], starts, axis=1)
         tag = lp(rep.ambient.p, r)
+        m.flags.writeable = False  # the operator keeps the fresh matrix, uncopied
         op = DenseOperator(m, tag, tag)
         ev, solved = eigen_spectrum(op), op.matrix
     # zero modulus sorts last, so the padded spectrum stays in report order

@@ -1,6 +1,8 @@
-"""Every name the package and its modules export resolves, and so does
-every entry point the benchmark tracer patches."""
+"""Every name the package and its modules export resolves, the package
+declares each of them once, no module imports a name it leaves unused, and
+every entry point the benchmark tracer patches exists."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -10,11 +12,17 @@ import pytest
 
 import nuctrace
 
+ROOT = Path(__file__).resolve().parents[1]
+
 MODULES = ["nuctrace"] + [
     f"nuctrace.{info.name}"
     for info in pkgutil.iter_modules(nuctrace.__path__)
     if info.name != "__main__"
 ]
+
+# the modules the package re-exports whole, in package order
+LIBRARY = [nuctrace.exponents, nuctrace.seqspace, nuctrace.nuclear,
+           nuctrace.factorization, nuctrace.spectra, nuctrace.harness]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,8 +32,47 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def test_package_surface_is_the_module_surfaces():
+    names = nuctrace.__all__
+    assert len(names) == len(set(names))
+    assert names == [n for m in LIBRARY for n in m.__all__] + ["cli_main", "__version__"]
+    for module in LIBRARY:
+        for name in module.__all__:
+            assert getattr(nuctrace, name) is getattr(module, name), name
+    assert nuctrace.cli_main is nuctrace.cli.cli_main
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but neither uses nor lists in ``__all__``;
+    star imports and ``from __future__`` are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+SOURCES = sorted((ROOT / "src" / "nuctrace").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
 def test_every_traced_entry_point_exists():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)

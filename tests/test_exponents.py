@@ -159,12 +159,26 @@ class TestParameterTriple:
         assert (str(t.p), str(t.s), str(t.r)) == ("2", "1", "inf")
 
     def test_rejects_off_curve_triples(self):
-        with pytest.raises(ValueError):
-            ParameterTriple(Exponent(2), OrderExponent(F(2, 3)), Exponent(2))
-        with pytest.raises(ValueError):
-            ParameterTriple(INF, OrderExponent(F(2, 3)), Exponent(3))
-        with pytest.raises(ValueError):
-            ParameterTriple(Exponent(2), OrderExponent(1), Exponent(2))
+        # oracle: the curve written out, with the (1 - s) r = s and
+        # r = inf <=> s = 1 consequences checked as well
+        def on_curve(p, s, r):
+            recip_s = 1 / s.value
+            if recip_s != 1 + abs(F(1, 2) - p.reciprocal) or r.reciprocal != recip_s - 1:
+                return False
+            return s.value == 1 if r.is_inf else (1 - s.value) * r.value == s.value
+
+        accepted = 0
+        for p in (1, F(4, 3), F(3, 2), 2, 3, 4, "inf"):
+            for s in (F(1, 2), F(2, 3), F(4, 5), F(6, 7), 1):
+                for r in (1, 2, 3, 4, 6, "inf"):
+                    triple = Exponent(p), OrderExponent(s), Exponent(r)
+                    if on_curve(*triple):
+                        assert ParameterTriple(*triple).s == s_from_p(p)
+                        accepted += 1
+                    else:
+                        with pytest.raises(ValueError, match="fails for"):
+                            ParameterTriple(*triple)
+        assert accepted == 7
 
     def test_unreduced_p_is_still_a_valid_triple(self):
         t = ParameterTriple(Exponent(F(4, 3)), OrderExponent(F(4, 5)), Exponent(4))

@@ -305,6 +305,10 @@ def test_rotate_pair_at_edge_indices(p):
             assert len(out) == k
             # negative indices name the same terms
             assert_same(rotate_pair(rep, i - k, j - k, theta), out)
+        # one term named twice, directly or through a negative index
+        for i, j in ((1, 1), (0, -k)):
+            with pytest.raises(ValueError, match="two distinct terms"):
+                rotate_pair(rep, i, j, np.pi / 4)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)

@@ -11,6 +11,7 @@ from nuctrace import (
     eigen_spectrum,
     ladder_csv,
     lp,
+    spectra,
     spectral_report,
     summability_ladder,
 )
@@ -102,6 +103,24 @@ class TestSpectralReport:
             ev = np.sort_complex(eigen_spectrum(conjugated))
             assert np.abs(ev - base).max() <= 1e-6 * norm
             assert abs(ev.sum() - base.sum()) <= 1e-8 * (1 + np.abs(base).sum())
+
+    def test_coefficient_matrix_is_shared_not_copied(self, monkeypatch):
+        built = []
+
+        def spy(matrix, domain, codomain):
+            op = DenseOperator(matrix, domain, codomain)
+            built.append((matrix, op))
+            return op
+
+        monkeypatch.setattr(spectra, "DenseOperator", spy)
+        rep = random_rep(make_rng(33), 2, 8, 3)  # 3 distinct functionals, n = 8
+        f = rep.functionals
+        shared = NuclearRep(rep.ambient, rep.mu, [f[0], f[0], f[1]], rep.vectors)
+        for r in (rep, shared):
+            spectral_report(r)
+        assert [m.shape for m, _ in built] == [(3, 3), (2, 2)]
+        for matrix, op in built:
+            assert not matrix.flags.writeable and op.matrix is matrix
 
 
 class TestLadder:
