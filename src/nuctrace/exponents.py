@@ -1,23 +1,24 @@
 """Exact exponent arithmetic for the summability-order relations.
 
-Everything here is integer-rational: an exponent ``p`` in ``[1, inf]`` is
-stored through its reciprocal ``1/p``, a :class:`fractions.Fraction` in
-``[0, 1]``, so that ``p = inf`` is the exact value ``0`` and no floating
-point ever enters the identities
+Everything here is integer-rational: :class:`Exponent` (``p`` in
+``[1, inf]``) and :class:`OrderExponent` (``s`` in ``(0, 1]``) share one
+core that stores a :class:`fractions.Fraction` with its exact reciprocal,
+so ``p = inf`` is the reciprocal ``0`` and no floating point ever enters
 
     1/s = 1 + |1/2 - 1/p|,    1/r = 1/s - 1,    (1 - s) * r = s,
 
-or the three-exponent chain ``1/r + 1/2 + 1/p = 1``.
-
-The string grammar ``"7/3"``, ``"2"``, ``"inf"`` (case-insensitive) is the
-one the command line uses.
+or the three-exponent chain ``1/r + 1/2 + 1/p = 1``.  Both take an ``int``,
+a ``Fraction`` or a string in the command line's grammar ``"7/3"``, ``"2"``,
+``"inf"`` (``p`` only, case-insensitive); booleans and floats are rejected.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 __all__ = [
     "Exponent",
@@ -31,6 +32,7 @@ __all__ = [
     "check_holder_chain",
 ]
 
+_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
@@ -54,39 +56,88 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational exponent literal: {text!r}") from exc
 
 
-class Exponent:
-    """An exponent in ``[1, inf]`` with exact reciprocal arithmetic.
+class _Rational:
+    """Shared core: an exact rational ``value`` stored with its ``reciprocal``.
 
-    Accepts an ``int``, a :class:`~fractions.Fraction`, another
-    :class:`Exponent`, or one of the string literals ``"7/3"``, ``"2"``,
-    ``"inf"``.  Plain floats are rejected: they would smuggle rounding
-    error into identities that must hold exactly.
+    One input rule: an ``int``, a ``Fraction``, a numeric string or an
+    instance of the same class; ``bool``, ``float`` (inexact) and anything
+    else raise ``TypeError``.  Each subclass checks its range in ``_check``;
+    instances of different subclasses are never equal.
     """
 
-    __slots__ = ("_recip",)
+    __slots__ = ("_value", "_recip")
 
     def __init__(self, value):
-        if isinstance(value, Exponent):
-            self._recip = value._recip
+        if isinstance(value, type(self)):
+            self._value, self._recip = value._value, value._recip
             return
         if isinstance(value, str):
-            if value.strip().lower() == "inf":
-                self._recip = Fraction(0)
-                return
             value = _parse_rational(value)
-        if isinstance(value, float):
-            if value == float("inf"):
-                self._recip = Fraction(0)
-                return
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(
-                "float exponents are not exact; pass an int, Fraction or string"
+                f"{type(self).__name__} takes an int, Fraction or numeric string, "
+                f"not {type(value).__name__}"
             )
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot build an Exponent from {type(value).__name__}")
         value = Fraction(value)
+        self._check(value)
+        self._value, self._recip = value, 1 / value
+
+    @classmethod
+    def _exact(cls, value: Fraction | None, recip: Fraction):
+        """An instance from a value and reciprocal already known to be valid."""
+        obj = object.__new__(cls)
+        obj._value, obj._recip = value, recip
+        return obj
+
+    @property
+    def value(self) -> Fraction | None:
+        """The exact rational, or ``None`` for ``inf``."""
+        return self._value
+
+    @property
+    def reciprocal(self) -> Fraction:
+        """The exact reciprocal; ``0`` for ``inf``."""
+        return self._recip
+
+    def __float__(self) -> float:
+        return math.inf if self._value is None else float(self._value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Rational):
+            return type(other) is type(self) and self._recip == other._recip
+        if isinstance(other, (int, Fraction)):
+            return self._value == other
+        return NotImplemented
+
+    def __hash__(self):
+        # equal to hash(int/Fraction) where __eq__ says equal
+        return hash(self._value)
+
+    def __str__(self) -> str:
+        return "inf" if self._value is None else str(self._value)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+@total_ordering
+class Exponent(_Rational):
+    """An exponent ``p`` in ``[1, inf]``; it also takes ``"inf"``
+    (case-insensitive) and the float ``inf``, stored as the reciprocal ``0``."""
+
+    __slots__ = ()
+
+    def __init__(self, value):
+        if (isinstance(value, str) and value.strip().lower() == "inf"
+                or isinstance(value, float) and value == math.inf):
+            self._value, self._recip = None, _ZERO
+        else:
+            super().__init__(value)
+
+    @staticmethod
+    def _check(value: Fraction) -> None:
         if value < 1:
             raise ValueError(f"exponent must satisfy p >= 1, got {value}")
-        self._recip = 1 / value
 
     @classmethod
     def from_reciprocal(cls, recip: Fraction) -> "Exponent":
@@ -94,59 +145,19 @@ class Exponent:
         recip = Fraction(recip)
         if not 0 <= recip <= 1:
             raise ValueError(f"reciprocal must lie in [0, 1], got {recip}")
-        return cls("inf") if recip == 0 else cls(1 / recip)
-
-    @property
-    def reciprocal(self) -> Fraction:
-        return self._recip
+        return cls._exact(1 / recip if recip else None, recip)
 
     @property
     def is_inf(self) -> bool:
-        return self._recip == 0
-
-    @property
-    def value(self) -> Fraction | None:
-        """The exponent as an exact rational, or ``None`` for ``inf``."""
-        if self._recip == 0:
-            return None
-        return 1 / self._recip
-
-    def __float__(self) -> float:
-        if self._recip == 0:
-            return float("inf")
-        return float(1 / self._recip)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Exponent):
-            return self._recip == other._recip
-        if isinstance(other, (int, Fraction)):
-            return not self.is_inf and self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        # equal to hash(int/Fraction) where __eq__ says equal
-        return hash(float("inf")) if self.is_inf else hash(self.value)
+        return self._value is None
 
     # Larger exponent <=> smaller reciprocal; inf is the maximum.
     def __lt__(self, other) -> bool:
-        return self._recip > _coerce(other)._recip
-
-    def __le__(self, other) -> bool:
-        return self._recip >= _coerce(other)._recip
-
-    def __gt__(self, other) -> bool:
-        return self._recip < _coerce(other)._recip
-
-    def __ge__(self, other) -> bool:
-        return self._recip <= _coerce(other)._recip
-
-    def __str__(self) -> str:
-        if self.is_inf:
-            return "inf"
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"Exponent({str(self)!r})"
+        if isinstance(other, Exponent):
+            return self._recip > other._recip
+        if isinstance(other, (int, Fraction)):
+            return self._value is not None and self._value < other
+        return NotImplemented
 
 
 def _coerce(value) -> Exponent:
@@ -156,53 +167,15 @@ def _coerce(value) -> Exponent:
 INF = Exponent("inf")
 
 
-class OrderExponent:
+class OrderExponent(_Rational):
     """A summability order ``s`` in ``(0, 1]``, stored as an exact rational."""
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, value):
-        if isinstance(value, OrderExponent):
-            self._value = value._value
-            return
-        if isinstance(value, str):
-            value = _parse_rational(value)
-        if isinstance(value, float):
-            raise TypeError(
-                "float orders are not exact; pass an int, Fraction or string"
-            )
-        value = Fraction(value)
+    @staticmethod
+    def _check(value: Fraction) -> None:
         if not 0 < value <= 1:
             raise ValueError(f"order must lie in (0, 1], got {value}")
-        self._value = value
-
-    @property
-    def value(self) -> Fraction:
-        return self._value
-
-    @property
-    def reciprocal(self) -> Fraction:
-        """``1/s`` as an exact rational, always ``>= 1``."""
-        return 1 / self._value
-
-    def __float__(self) -> float:
-        return float(self._value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OrderExponent):
-            return self._value == other._value
-        if isinstance(other, (int, Fraction)):
-            return self._value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __str__(self) -> str:
-        return str(self._value)
-
-    def __repr__(self) -> str:
-        return f"OrderExponent({str(self)!r})"
 
 
 def s_from_p(p) -> OrderExponent:
@@ -211,8 +184,8 @@ def s_from_p(p) -> OrderExponent:
     Invariant under conjugation: ``s_from_p(p) == s_from_p(conjugate(p))``.
     """
     p = _coerce(p)
-    recip_s = _ONE + abs(_HALF - p.reciprocal)
-    return OrderExponent(1 / recip_s)
+    recip_s = _ONE + abs(_HALF - p.reciprocal)  # in [1, 3/2]: s is in range
+    return OrderExponent._exact(1 / recip_s, recip_s)
 
 
 def r_from_s(s) -> Exponent:
@@ -235,7 +208,7 @@ def reduce_to_p_ge_2(p) -> Exponent:
 
 def check_holder_chain(exps) -> bool:
     """True iff the reciprocals of the given exponents sum exactly to 1."""
-    total = sum((_coerce(e).reciprocal for e in exps), Fraction(0))
+    total = sum((_coerce(e).reciprocal for e in exps), _ZERO)
     return total == _ONE
 
 

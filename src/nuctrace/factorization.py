@@ -85,14 +85,9 @@ class Pipeline:
     stage_d2: DiagonalOperator    # lp(2) -> lp(1), diag mu^(s/2)
     stage_b: DenseOperator        # lp(1) -> lp(p), column k = vector k
     triple: ParameterTriple
-    mu: np.ndarray
+    mu: np.ndarray                # the rep's read-only weights, shared
     reconstruction_error: float   # |composed - assemble(rep)|_F, computed once
     target_norm: float            # |assemble(rep)|_F
-
-    def __post_init__(self):
-        m = np.array(self.mu, dtype=np.float64, copy=True).reshape(-1)
-        m.flags.writeable = False
-        object.__setattr__(self, "mu", m)
 
     def stages(self) -> list[DenseOperator | DiagonalOperator]:
         """All six stages in application order."""
@@ -147,9 +142,6 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
             "the pipeline factors at the curve order only"
         )
     mu = rep.mu
-    if np.any(mu <= 0):
-        raise ValueError("all term weights must be strictly positive; drop zero terms")
-
     k = len(rep)
     s = float(triple.s)
     tag_y = rep.ambient

@@ -1,11 +1,13 @@
 """Every name the package and its modules export resolves, the package
-declares each of them once, no module imports a name it leaves unused, and
-every entry point the benchmark tracer patches exists."""
+declares each of them once, the README library map names each of them, no
+module imports a name it leaves unused, and every entry point the benchmark
+tracer patches exists."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,18 @@ def test_package_surface_is_the_module_surfaces():
         for name in module.__all__:
             assert getattr(nuctrace, name) is getattr(module, name), name
     assert nuctrace.cli_main is nuctrace.cli.cli_main
+
+
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: m.__name__)
+def test_readme_library_map_names_every_export(module):
+    """Each name in ``__all__`` opens a code span (`name` or `name(...)`) in
+    the module's row of the README library map."""
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith(f"| `{module.__name__}`")]
+    assert len(rows) == 1
+    missing = [name for name in module.__all__
+               if not re.search(rf"`{re.escape(name)}(?!\w)", rows[0])]
+    assert missing == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -149,6 +149,13 @@ MALFORMED = {
         {"ambient": {"p": "2", "dim": 2}, "order_s": "1e-9999999", "terms": []},
     ),
     "config_p_huge_literal": ("suite", {**CONFIG, "p": "1e9999999"}),
+    # an exponent or order given as a boolean is rejected, not read as 1
+    "config_p_boolean": ("suite", {**CONFIG, "p": True}),
+    "rep_p_boolean": ("spectrum", {"ambient": {"p": True, "dim": 2}, "terms": []}),
+    "rep_order_boolean": (
+        "spectrum",
+        {"ambient": {"p": "2", "dim": 2}, "order_s": True, "terms": []},
+    ),
     # terms given as an object used to load as an empty rep
     "rep_terms_object": ("spectrum", {"ambient": {"p": "2", "dim": 2}, "terms": {}}),
     # integer fields given as a fraction, a string or a boolean are rejected, not truncated

@@ -1,5 +1,6 @@
 """Exactness tests for the exponent relations; everything here is rational."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,24 @@ class TestExponentType:
         with pytest.raises(TypeError):
             Exponent(1.5)
         assert Exponent(float("inf")) == INF
+
+    @pytest.mark.parametrize("cls", [Exponent, OrderExponent])
+    @pytest.mark.parametrize("value", [True, False, Decimal("1"), 1.5], ids=repr)
+    def test_one_input_rule_rejects_booleans_decimals_and_floats(self, cls, value):
+        with pytest.raises(TypeError):
+            cls(value)
+
+    def test_classes_share_printing_and_hashing_but_never_compare_equal(self):
+        assert Exponent(1) != OrderExponent(1)
+        assert hash(OrderExponent("2/3")) == hash(Fraction(2, 3))
+        assert repr(OrderExponent("2/3")) == "OrderExponent('2/3')"
+        assert repr(INF) == "Exponent('inf')" and float(INF) == float("inf")
+
+    def test_ordering_against_plain_numbers(self):
+        assert Exponent(2) <= 2
+        assert Exponent(3) >= 3
+        assert INF > 3
+        assert not Exponent(3) < 3
 
     def test_ordering_puts_inf_on_top(self):
         assert Exponent(2) < Exponent(3) < INF

@@ -100,6 +100,7 @@ class TestBuildPipeline:
         pipe = build_pipeline(rep)
         assert np.shares_memory(pipe.stage_a.matrix, rep.functionals)
         assert np.shares_memory(pipe.stage_b.matrix, rep.vectors)
+        assert np.shares_memory(pipe.mu, rep.mu) and not pipe.mu.flags.writeable
         assert not assemble(rep).matrix.flags.writeable
 
     def test_stage_tags_chain(self):
