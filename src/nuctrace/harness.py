@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .exponents import Exponent, check_holder_chain, s_from_p
-from .factorization import build_pipeline, summing_certificates
+from .factorization import RECONSTRUCTION_BUDGET, build_pipeline, summing_certificates
 from .nuclear import (
     _REWRITE_SCHEMES,
     NuclearRep,
@@ -99,13 +99,15 @@ class DecayProfile:
 
 @dataclass(frozen=True)
 class Tolerances:
-    reconstruction: float = 1e-10
+    reconstruction: float = RECONSTRUCTION_BUDGET
     trace: float = 1e-10
 
     def __post_init__(self):
         for name in ("reconstruction", "trace"):
             if not 0 < _store_float(self, name) < math.inf:
                 raise ValueError("tolerances must be positive and finite")
+        if self.reconstruction > RECONSTRUCTION_BUDGET:  # build_pipeline raises above it
+            raise ValueError(f"reconstruction tolerance must lie in (0, {RECONSTRUCTION_BUDGET:g}]")
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,6 @@ def quasi_norm_value(rep: NuclearRep, s) -> float:
     value is nonincreasing in ``s``.
     """
     s = OrderExponent(s)
-    if len(rep) == 0:
-        return 0.0
     norms_f = row_norms(rep.functionals, rep.conjugate)
     norms_v = row_norms(rep.vectors, rep.ambient)
     sf = float(s)
@@ -171,19 +169,13 @@ def quasi_norm_value(rep: NuclearRep, s) -> float:
 
 def nuclear_trace(rep: NuclearRep) -> float:
     """``sum_k mu_k <f_k, v_k>``, linear in the term list."""
-    if len(rep) == 0:
-        return 0.0
     pairings = np.einsum("kn,kn->k", rep.functionals, rep.vectors)
     return float(np.dot(rep.mu, pairings))
 
 
 def assemble(rep: NuclearRep) -> DenseOperator:
     """Materialize ``sum_k mu_k v_k f_k^T`` as a dense matrix on the ambient tag."""
-    n = rep.ambient.dim
-    if len(rep) == 0:
-        m = np.zeros((n, n))
-    else:
-        m = (rep.mu[:, None] * rep.vectors).T @ rep.functionals
+    m = (rep.mu[:, None] * rep.vectors).T @ rep.functionals
     m.flags.writeable = False  # the operator keeps the fresh product, uncopied
     return DenseOperator(m, rep.ambient, rep.ambient)
 
@@ -195,7 +187,8 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     norm it now needs), the weights are untouched, the trace is identical,
     and the assembled matrix is the transpose of the original.  This is how
     a representation on ``lp(p)`` with ``p < 2`` is handed to code that
-    requires ``p >= 2``.
+    requires ``p >= 2``; rebind the caller's name to the adjoint so the
+    original rows can be freed.
     """
     return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order)
 
@@ -235,8 +228,6 @@ def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
     ``(smaller index, larger index)``.
     """
     k, n = len(rep), rep.ambient.dim
-    if k < 2:
-        return []
     lead = np.argmax(np.abs(rep.functionals), axis=1)
     signs = np.sign(rep.functionals[np.arange(k), lead])
     signs[signs == 0] = 1.0

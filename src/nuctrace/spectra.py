@@ -106,8 +106,6 @@ def _distinct_functionals(fun: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key = np.einsum("kn,n->k", fun, np.random.default_rng(0).standard_normal(fun.shape[1]))
     order = np.argsort(key, kind="stable")
     cand = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-    if cand.size == 0:
-        return np.arange(k), np.arange(k)
     bits = fun.view(np.uint64)
     joins = np.zeros(k, dtype=bool)  # sorted row i is in the group of sorted row i - 1
     joins[cand + 1] = (bits[order[cand]] == bits[order[cand + 1]]).all(axis=1)
@@ -180,12 +178,13 @@ class LadderRow:
 def summability_ladder(
     family: Callable[[int], NuclearRep],
     levels: Sequence[int],
-    s: OrderExponent | None = None,
+    s: OrderExponent,
 ) -> list[LadderRow]:
     """Spectral summability diagnostics along a truncation ladder.
 
     ``family`` maps a truncation level to a representation (it must be
-    deterministic for reproducible tables).  Each row reports the modulus
+    deterministic for reproducible tables) of order ``s``; a rep of another
+    order raises ``ValueError``.  Each row reports the modulus
     sum ``S_N``, the fraction of it carried by eigenvalues ranked beyond
     ``N/4`` (a fixed-quantile tail statistic: summability is observable as
     a shrinking tail without asserting any rate), and the trace residual.
@@ -194,12 +193,11 @@ def summability_ladder(
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("ladder levels must be strictly increasing")
-    if s is not None:
-        s = OrderExponent(s)
+    s = OrderExponent(s)
     rows = []
     for level in levels:
         rep = family(level)
-        if s is not None and rep.order != s:
+        if rep.order != s:
             raise ValueError(
                 f"family produced order {rep.order} at level {level}, expected {s}"
             )

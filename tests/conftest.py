@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,22 @@ def random_rep(rng, p, dim, n_terms, decay=1.2) -> NuclearRep:
     fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
     vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
     return NuclearRep(ambient, [(k + 1.0) ** -decay for k in range(n_terms)], fun, vec)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of traced memory above what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture

@@ -185,6 +185,12 @@ MALFORMED = {
     # float fields given as a boolean or a numeric string are rejected, not
     # converted: true would load as a trace tolerance of 1.0
     "config_trace_tolerance_boolean": ("suite", {**CONFIG, "tolerances": {"trace": True}}),
+    # a reconstruction tolerance above the library's own budget would never
+    # be read: build_pipeline raises before the suite checks it
+    "config_reconstruction_tolerance_above_budget": (
+        "suite",
+        {**CONFIG, "tolerances": {"reconstruction": 1e-6}},
+    ),
     "config_reconstruction_tolerance_string": (
         "suite",
         {**CONFIG, "tolerances": {"reconstruction": "1e-3"}},

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,11 +16,12 @@ from nuctrace import (
     generate_family,
     lp,
     pipeline_to_json,
+    run_factorization_suite,
     split_diagonal,
     summing_certificates,
 )
 
-from conftest import make_rng, random_rep
+from conftest import make_rng, random_rep, traced_peak
 
 
 def e(i, n):
@@ -141,24 +140,8 @@ class TestBuildPipeline:
             assert np.allclose(prod, pipe.mu, rtol=1e-13, atol=0.0)
 
 
-def _traced_peak(fn):
-    """``fn()`` and the peak of traced memory above what was live before it."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    try:
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-    return out, peak
-
-
 class TestMemory:
-    """Peaks of the p = 3/2 factorize path at k = n, counted in n^2 doubles.
+    """Peaks of the factorize path at k = n, counted in n^2 doubles.
 
     numpy reports its buffers to tracemalloc, so the counts do not depend
     on the allocator.  A family holds its two row arrays, drawn once and
@@ -174,12 +157,25 @@ class TestMemory:
         cfg = ExperimentConfig(p="3/2", family="random_unit", decay=DecayProfile(1.0, n),
                                ladder=(n,), seed=7, cases_per_level=1)
         generate_family(cfg, n)  # first-call allocations are not the path's
-        rep, peak = _traced_peak(lambda: generate_family(cfg, n))
+        rep, peak = traced_peak(lambda: generate_family(cfg, n))
         assert len(rep) == n
         assert peak <= 4.25 * n * n * 8
         rep = adjoint_rep(rep)
-        _, peak = _traced_peak(lambda: build_pipeline(rep))
+        _, peak = traced_peak(lambda: build_pipeline(rep))
         assert peak <= 3.25 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", 2, INF])
+    def test_factorize_suite_peak(self, p, tmp_path):
+        # 5.05 n^2 doubles on every side; at p = 3/2 the suite rebinds its
+        # rep to the adjoint, which frees the original rows (keeping them
+        # alive beside the adjoint reads 7.05)
+        n = self.N
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, out_dir=str(tmp_path), cases_per_level=1)
+        run_factorization_suite(cfg)  # first-call allocations are not the path's
+        report, peak = traced_peak(lambda: run_factorization_suite(cfg))
+        assert report.passed == 1
+        assert peak <= 5.25 * n * n * 8
 
 
 class TestCertificates:

@@ -106,7 +106,8 @@ class TestConfig:
 
     def test_float_fields_store_floats(self):
         assert type(DecayProfile(2, 4).exponent_multiplier) is float
-        tol = Tolerances(reconstruction=1, trace=np.float64(1e-9))
+        # no positive integer is a valid reconstruction tolerance
+        tol = Tolerances(reconstruction=np.float64(1e-11), trace=1)
         assert (type(tol.reconstruction), type(tol.trace)) == (float, float)
 
     # the CLI's strict JSON parser stops a 1e400 config value before these

@@ -185,7 +185,9 @@ class TestTraceAndAssemble:
 
     def test_empty_rep_assembles_to_zero(self):
         rep = NuclearRep(lp(2, 4), [], [], [])
-        assert np.array_equal(assemble(rep).matrix, np.zeros((4, 4)))
+        zero = assemble(rep).matrix
+        assert np.array_equal(zero, np.zeros((4, 4)))
+        assert not zero.flags.writeable
         assert nuclear_trace(rep) == 0.0
         assert quasi_norm_value(rep, OrderExponent(1)) == 0.0
 

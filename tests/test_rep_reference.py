@@ -286,6 +286,10 @@ def test_parallel_pairs_match_reference():
         pairs = _parallel_pairs(rep)
         assert len(pairs) >= 11
         assert pairs == ref_parallel_pairs(rep)
+        # with one row or none there is no adjacent pair to screen
+        for k in (0, 1):
+            short = NuclearRep(rep.ambient, rep.mu[:k], rep.functionals[:k], rep.vectors[:k])
+            assert _parallel_pairs(short) == ref_parallel_pairs(short) == []
 
 
 @pytest.mark.parametrize("p", EXPONENTS)

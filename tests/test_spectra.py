@@ -122,6 +122,21 @@ class TestSpectralReport:
         for matrix, op in built:
             assert not matrix.flags.writeable and op.matrix is matrix
 
+    @pytest.mark.parametrize(
+        "fun, heads, labels",
+        [
+            (make_rng(35).standard_normal((5, 4)), [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+            (np.tile([0.5, -1.0, 0.25], (4, 1)), [0], [0, 0, 0, 0]),
+            (np.zeros((0, 4)), [], []),
+        ],
+        ids=["no_shared_row", "all_rows_shared", "no_rows"],
+    )
+    def test_distinct_functionals(self, fun, heads, labels):
+        got_heads, got_labels = spectra._distinct_functionals(fun)
+        for got, expected in ((got_heads, heads), (got_labels, labels)):
+            assert got.dtype == np.intp
+            assert got.tolist() == expected
+
 
 class TestLadder:
     def test_closed_form_partial_sums(self):
