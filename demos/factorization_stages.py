@@ -5,16 +5,16 @@ A representation on lp(p) with p >= 2 factors as
     lp(p) -> linf -> lp(r) -> c0 -> lp(2) -> lp(1) -> lp(p)
 
 with both middle diagonals carrying mu^(s/2) and the decay diagonal
-carrying mu^(1-s).  The demo prints the stage tags, verifies the
-reconstruction, and shows the three summing certificates whose exponents
-(r, 2, p) always spend exactly the full reciprocal budget 1.
+carrying mu^(1-s); below p = 2 the chain runs on the conjugate lp(p')
+(the p = 4/3 case prints lp(4) tags).  The demo prints the stage tags,
+verifies the reconstruction, and shows the three summing certificates
+whose exponents (r, 2, p) always spend exactly the full reciprocal budget 1.
 """
 
 import numpy as np
 
 from nuctrace import (
     NuclearRep,
-    adjoint_rep,
     build_pipeline,
     conjugate_tag,
     lp,
@@ -33,10 +33,6 @@ def demo(p, dim=12, n_terms=6):
     fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
     vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
     rep = NuclearRep(ambient, [(k + 1.0) ** -1.5 for k in range(n_terms)], fun, vec)
-    if rep.ambient.p < 2:
-        print(f"p = {rep.ambient.p}: below 2, factoring the transpose on the conjugate side")
-        rep = adjoint_rep(rep)
-
     pipe = build_pipeline(rep)
     print(f"p = {pipe.triple.p}: s = {pipe.triple.s}, r = {pipe.triple.r}")
     for stage in pipe.stages():

@@ -16,8 +16,9 @@ Rep and config files are parsed as strict JSON by orjson: ``NaN`` and
 and lone surrogates exit 2; integers past 64 bits parse as floats.  The
 pipeline file is written by orjson (compact, shortest round-trip numbers),
 the stdout lines by the stdlib ``json``.  An unwritable output is found
-before any work: ``factorize`` checks the directory of ``--out`` before it
-loads the rep, and ``suite`` creates its output directory first.
+before any work: ``factorize`` checks that ``--out`` is not a directory
+and that its directory exists before it loads the rep, and ``suite``
+creates its output directory first.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .harness import (
     run_ladder_suite,
     run_trace_suite,
 )
-from .nuclear import adjoint_rep, rep_from_json
+from .nuclear import rep_from_json
 from .spectra import spectral_report
 
 USAGE_ERROR = 2
@@ -116,10 +117,9 @@ def _cmd_factorize(args) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():
         raise ValueError(f"cannot write {out}: no directory {out.parent}")
-    rep = _load_rep(args.rep)
-    if rep.ambient.p < 2:
-        rep = adjoint_rep(rep)
-    pipe = build_pipeline(rep)
+    if out.is_dir():
+        raise ValueError(f"cannot write {out}: it is a directory")
+    pipe = build_pipeline(_load_rep(args.rep))
     out.write_bytes(orjson.dumps(pipeline_to_json(pipe), option=orjson.OPT_SORT_KEYS) + b"\n")
     print(f"wrote pipeline for p={pipe.triple.p} to {args.out}", file=sys.stderr)
     return 0

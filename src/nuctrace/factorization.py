@@ -8,11 +8,13 @@ with ``p >= 2`` factors through the chain
 
 where row k of A evaluates the k-th functional, B sends the k-th basis
 vector to v_k, j is the formal identity, and the middle diagonals carry the
-weights.  The exponent r is chosen by ``(1 - s) r = s``, which is exactly
-what makes the first diagonal r-summable whenever the weights are
-s-summable; splitting the last diagonal evenly into two ``mu^(s/2)``
-factors puts both halves in the Hilbert space whenever the same sum is
-finite.
+weights.  Below ``p = 2`` the chain runs on the conjugate ``lp(p')`` and
+factors the transpose, f_k and v_k trading places; ``1/s = 1 + |1/2 - 1/p|``
+is the same for p and p'.  The exponent r is chosen by ``(1 - s) r = s``,
+which is exactly what makes the first diagonal r-summable whenever the
+weights are s-summable; splitting the last diagonal evenly into two
+``mu^(s/2)`` factors puts both halves in the Hilbert space whenever the
+same sum is finite.
 
 Each stage is certified with a summing exponent and a recorded upper
 bound.  The three certificate exponents (r, 2, p) always satisfy
@@ -81,16 +83,16 @@ class SummingCertificate:
 class Pipeline:
     """The assembled five-stage factorization record."""
 
-    stage_a: DenseOperator        # lp(p) -> linf, row k = functional k
+    stage_a: DenseOperator        # lp(p) -> linf, row k = functional k (vector k below 2)
     stage_d1ms: DiagonalOperator  # linf -> lp(r), diag mu^(1-s)
     stage_j: DiagonalOperator     # lp(r) -> c0, formal identity
     stage_d1: DiagonalOperator    # c0 -> lp(2), diag mu^(s/2)
     stage_d2: DiagonalOperator    # lp(2) -> lp(1), diag mu^(s/2)
-    stage_b: DenseOperator        # lp(1) -> lp(p), column k = vector k
+    stage_b: DenseOperator        # lp(1) -> lp(p), column k = vector k (functional k below 2)
     triple: ParameterTriple
     mu: np.ndarray                # the rep's read-only weights, shared
-    reconstruction_error: float   # |composed - assemble(rep)|_F, computed once
-    target_norm: float            # |assemble(rep)|_F
+    reconstruction_error: float   # |composed - target|_F, computed once
+    target_norm: float            # |target|_F; target = assemble(rep), transposed below 2
 
     def stages(self) -> list[DenseOperator | DiagonalOperator]:
         """All six stages in application order."""
@@ -124,21 +126,16 @@ def split_diagonal(mu, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_pipeline(rep: NuclearRep) -> Pipeline:
-    """Factor ``rep`` through the diagonal chain; requires ambient p >= 2.
+    """Factor ``rep`` through the diagonal chain at its reduced triple.
 
-    Callers holding ``p < 2`` data rebind their rep to its adjoint
-    (:func:`nuctrace.nuclear.adjoint_rep`) first, which frees the original
-    rows; conjugating in here would keep both alive, and the factorize suite
-    would peak at 7.05 ``n x n`` doubles instead of 5.05 (k = n = 256).
+    Below ``p = 2`` the chain factors the transpose on the conjugate tag,
+    read from the rep's own rows: A evaluates the vectors, B sends the k-th
+    basis vector to the k-th functional, and the target is the transposed
+    assembled matrix.
     """
-    p = rep.ambient.p
-    if p < 2:
-        raise ValueError(
-            f"pipeline requires p >= 2; reduce p={p} by conjugation first"
-        )
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
-    triple = ParameterTriple.from_p(p)
+    triple = ParameterTriple.from_p(rep.ambient.p)
     if rep.order != triple.s:
         raise ValueError(
             f"representation order {rep.order} is off the curve value {triple.s}; "
@@ -147,7 +144,10 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     mu = rep.mu
     k = len(rep)
     s = float(triple.s)
-    tag_y = rep.ambient
+    target = assemble(rep).matrix
+    tag_y, rows_a, rows_b = rep.ambient, rep.functionals, rep.vectors
+    if rep.ambient.p < 2:
+        tag_y, rows_a, rows_b, target = rep.conjugate, rows_b, rows_a, target.T
     tag_inf = linf(k)
     tag_r = lp(triple.r, k)
     tag_c0 = c0(k)
@@ -159,14 +159,13 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
 
     # A and B are the rep's own read-only rows, shared rather than copied
     stages = (
-        DenseOperator(rep.functionals, tag_y, tag_inf),
+        DenseOperator(rows_a, tag_y, tag_inf),
         DiagonalOperator(d1ms, tag_inf, tag_r),
         DiagonalOperator(np.ones(k), tag_r, tag_c0),
         DiagonalOperator(d1, tag_c0, tag_2),
         DiagonalOperator(d2, tag_2, tag_1),
-        DenseOperator(rep.vectors.T, tag_1, tag_y),
+        DenseOperator(rows_b.T, tag_1, tag_y),
     )
-    target = assemble(rep).matrix
     pipe = Pipeline(
         *stages,
         triple=triple,

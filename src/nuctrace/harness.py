@@ -27,14 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .exponents import Exponent, check_holder_chain, s_from_p
+from .exponents import Exponent, check_holder_chain, reduce_to_p_ge_2, s_from_p
 from .factorization import RECONSTRUCTION_BUDGET, build_pipeline, summing_certificates
 from .nuclear import (
     _REWRITE_SCHEMES,
     NuclearRep,
     SchemeNotApplicableError,
     _generator,
-    adjoint_rep,
     nuclear_trace,
     rewrite_equivalent,
 )
@@ -360,10 +359,9 @@ def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
     """Pipeline reconstruction and exact exponent chains, case by case."""
 
     def one_case(i: int, level: int, case_cfg: ExperimentConfig, rep: NuclearRep) -> dict:
-        row: dict = {"case": i, "level": level, "p": str(rep.ambient.p)}
-        if rep.ambient.p < 2:
-            rep = adjoint_rep(rep)
-        row["built_on_p"] = str(rep.ambient.p)
+        p = rep.ambient.p
+        row: dict = {"case": i, "level": level, "p": str(p),
+                     "built_on_p": str(reduce_to_p_ge_2(p))}
         try:
             pipe = build_pipeline(rep)
         except ValueError as exc:

@@ -185,10 +185,7 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
 
     Unit norms are preserved by the swap (each side was normalized in the
     norm it now needs), the weights are untouched, the trace is identical,
-    and the assembled matrix is the transpose of the original.  This is how
-    a representation on ``lp(p)`` with ``p < 2`` is handed to code that
-    requires ``p >= 2``; rebind the caller's name to the adjoint so the
-    original rows can be freed.
+    and the assembled matrix is the transpose of the original.
     """
     return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order)
 

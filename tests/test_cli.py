@@ -19,7 +19,6 @@ import nuctrace
 import nuctrace.cli as cli
 from nuctrace import (
     NuclearRep,
-    adjoint_rep,
     build_pipeline,
     cli_main,
     config_from_json,
@@ -280,14 +279,12 @@ class TestOrjsonParity:
         for name in ("mu", "functionals", "vectors"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    @pytest.mark.parametrize("p", ["inf", "3", "4/3"])
+    @pytest.mark.parametrize("p", ["inf", "3", "4/3", "1"])
     def test_pipeline_file_holds_the_pipeline(self, p, tmp_path, capsys):
         src, out = tmp_path / "rep.json", tmp_path / "pipe.json"
         src.write_text(json.dumps(rep_to_json(random_rep(make_rng(17), p, 12, 8))))
         assert cli_main(["factorize", "--rep", str(src), "--out", str(out)]) == 0
         rep = rep_from_json(json.loads(src.read_text()))
-        if rep.ambient.p < 2:
-            rep = adjoint_rep(rep)
         text = out.read_text()
         # orjson writes a non-finite float as null
         assert "null" not in text
@@ -435,6 +432,16 @@ class TestFactorizeCommand:
         monkeypatch.setattr(cli, "build_pipeline", lambda rep: calls.append("build"))
         out = tmp_path / "missing" / "pipe.json"
         assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+
+    def test_out_directory_stops_before_the_rep_is_read(
+        self, rep_file, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "rep_from_json", lambda data: calls.append("load"))
+        assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert calls == []
