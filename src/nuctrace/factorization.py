@@ -60,6 +60,9 @@ __all__ = [
 # Reconstruction error budget ``tol * (1 + |T|_F)``; also the loosest suite tolerance.
 RECONSTRUCTION_BUDGET = 1e-10
 
+# side of the square tiles in which build_pipeline subtracts the target
+_TILE = 128
+
 
 @dataclass(frozen=True)
 class SummingCertificate:
@@ -170,11 +173,23 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         *stages,
         triple=triple,
         mu=mu,
-        reconstruction_error=float(np.linalg.norm(compose(stages).matrix - target)),
+        reconstruction_error=_distance(compose(stages).matrix, target),
         target_norm=float(np.linalg.norm(target)),
     )
     _check_pipeline(pipe)
     return pipe
+
+
+def _distance(product: np.ndarray, target: np.ndarray) -> float:
+    """``|product - target|_F``, bitwise, with the difference taken in place
+    in ``product``: the fresh, frozen output of ``compose`` that nothing else
+    holds.  Square tiles keep a transposed target's reads in cache."""
+    product.flags.writeable = True
+    rows, cols = product.shape
+    for i in range(0, rows, _TILE):
+        for j in range(0, cols, _TILE):
+            product[i : i + _TILE, j : j + _TILE] -= target[i : i + _TILE, j : j + _TILE]
+    return float(np.linalg.norm(product))
 
 
 def _check_pipeline(pipe: Pipeline) -> None:

@@ -231,6 +231,7 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     vec = unit_rows(draws[3 * (terms // 2) + 1 + terms % 2], ambient)
     del draws
     rep = NuclearRep(ambient, mu, fun, vec)
+    del fun, vec  # the rep holds its own rows; free the draws before the rotations
     if len(rep) >= 2:
         for _ in range(min(8, len(rep))):
             rep = rewrite_equivalent(rep, "rotate", int(rng.integers(2**63)))

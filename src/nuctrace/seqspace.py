@@ -19,9 +19,10 @@ numpy's flag, not a guarantee: the owner of the memory can make it
 writeable again and change the operator under its feet, so only hand over
 arrays whose owner keeps them frozen (the rows of a ``NuclearRep``, say).
 
-:func:`row_norms` takes the norm of every row of a ``(k, dim)`` array in
-one pass; :func:`lp_norm` is its one-row case, so the library has a single
-norm path.
+:func:`row_norms` takes the norm of every row of a ``(k, dim)`` array,
+walking the rows in cache-sized blocks through one reused scratch array, so
+its memory does not grow with ``k``; :func:`lp_norm` is its one-row case,
+so the library has a single norm path.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 MAX_DIM = 4096
+
+# row_norms works through its rows in blocks of this many bytes of float64
+_BLOCK_BYTES = 2**18
 
 _KINDS = ("lp", "c0", "linf")
 
@@ -159,20 +163,38 @@ Operator = DenseOperator | DiagonalOperator
 
 
 def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
-    """Norm of each row of a ``(k, dim)`` array in ``tag``, in one pass.
+    """Norm of each row of a ``(k, dim)`` array in ``tag``.
 
     Each row gets exactly the arithmetic of a single-vector norm: power mean
     for finite p (with the peak scaled out so large p does not underflow),
-    sup otherwise.  At p = 2 the rows go through one ``np.vecdot``, which
-    sums each row in the order of ``np.dot`` on that row alone, not in the
-    pairwise order of ``np.sum``.  The work array is float64 and C-ordered
-    whatever the dtype and layout of ``rows`` (integers, a column block),
-    so each row is summed in the one-vector order.
+    sup otherwise.  At p = 2 the rows go through ``np.vecdot``, which sums
+    each row in the order of ``np.dot`` on that row alone, not in the
+    pairwise order of ``np.sum``.  The rows are walked in blocks of about
+    ``_BLOCK_BYTES``: the absolute values of each block go into one reused
+    C-ordered float64 scratch whatever the dtype and layout of ``rows``
+    (integers, a column block) and are worked on in place there, so each
+    row is summed in the one-vector order and no ``(k, dim)`` temporary is
+    made.
     """
-    x = np.abs(np.asarray(rows, dtype=np.float64), order="C")
-    if tag.kind != "lp" or tag.p.is_inf:
+    rows = np.asarray(rows)
+    k, dim = rows.shape
+    step = max(1, _BLOCK_BYTES // max(8 * dim, 1))
+    scratch = np.empty((min(step, k), dim))
+    pf = None if tag.kind != "lp" or tag.p.is_inf else float(tag.p)
+    out = np.empty(k)
+    for i in range(0, k, step):
+        x = scratch[: min(step, k - i)]
+        # converted to float64 before abs, so integer rows cannot overflow
+        np.abs(rows[i : i + step], out=x, dtype=np.float64, casting="unsafe")
+        out[i : i + x.shape[0]] = _block_norms(x, pf)
+    return out
+
+
+def _block_norms(x: np.ndarray, pf: float | None) -> np.ndarray:
+    """Row norms of the block ``x`` of absolute values, which it overwrites;
+    ``pf`` is the finite exponent, or None for the sup norm."""
+    if pf is None:
         return x.max(axis=1, initial=0.0)
-    pf = float(tag.p)
     if pf == 1.0:
         return x.sum(axis=1)
     if pf == 2.0:

@@ -12,6 +12,7 @@ from nuctrace import (
     assemble,
     build_pipeline,
     check_holder_chain,
+    compose,
     exponent_budget,
     generate_family,
     lp,
@@ -124,6 +125,18 @@ class TestBuildPipeline:
         got, want = pipe.composed().matrix, adj.composed().matrix
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("p", [1, "4/3", "3/2", 2, 3, np.inf])
+    @pytest.mark.parametrize("n, k", [(1, 3), (127, 60), (129, 200), (300, 131)])
+    def test_reconstruction_error_has_the_bits_of_the_fresh_difference(self, p, n, k):
+        # n is no multiple of the subtraction tile, so edge tiles are partial
+        rep = random_rep(make_rng(30, n), p, n, k)
+        pipe = build_pipeline(rep)
+        target = assemble(rep).matrix
+        if rep.ambient.p < 2:
+            target = target.T
+        fresh = compose(pipe.stages()).matrix - target
+        assert pipe.reconstruction_error == float(np.linalg.norm(fresh))
+
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
             build_pipeline(NuclearRep(lp(2, 3), [], [], []))
@@ -151,9 +164,12 @@ class TestMemory:
 
     numpy reports its buffers to tracemalloc, so the counts do not depend
     on the allocator.  A family holds its two row arrays, drawn once and
-    normalized in place, plus the rep's two; a pipeline holds the assembled
-    target, the composed product and their difference above the rep it
-    shares A and B with.
+    normalized in place, plus the rep's two.  A pipeline holds the
+    assembled target and the composed product above the rep it shares A
+    and B with, and takes their difference in place in the product; the
+    peak of 3 comes from the k x n temporaries that ``assemble`` and
+    ``compose`` hold next to their products.  Row norms go through one
+    scratch block, so the certificates add almost nothing.
     """
 
     N = 256
@@ -170,9 +186,32 @@ class TestMemory:
         _, peak = traced_peak(lambda: build_pipeline(rep))
         assert peak <= 3.25 * n * n * 8
 
+    def test_rotation_family_peak(self):
+        # 6.21 n^2 doubles: the draws are freed before the 8 rotations
+        n = self.N
+        cfg = ExperimentConfig(p=INF, family="shared_functional_rotations",
+                               decay=DecayProfile(1.0, n), ladder=(n,), seed=7,
+                               cases_per_level=1)
+        generate_family(cfg, n)
+        rep, peak = traced_peak(lambda: generate_family(cfg, n))
+        assert len(rep) == n
+        assert peak <= 6.25 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", 2, INF])
+    def test_certificates_peak(self, p):
+        # 0.03-0.04 n^2 doubles at n = 1024, where the scratch block of the
+        # row norms is small against n^2
+        n = 1024
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        pipe = build_pipeline(generate_family(cfg, n))
+        summing_certificates(pipe)
+        _, peak = traced_peak(lambda: summing_certificates(pipe))
+        assert peak <= 0.29 * n * n * 8
+
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_factorize_suite_peak(self, p, tmp_path):
-        # 5.04 n^2 doubles at p = 2 and inf, 5.17 at p = 3/2, where the
+        # 5.04 n^2 doubles at p = 2 and inf, 5.05 at p = 3/2, where the
         # pipeline reads the rep's own rows transposed
         n = self.N
         cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n),

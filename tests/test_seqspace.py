@@ -17,7 +17,29 @@ from nuctrace import (
 )
 from nuctrace.seqspace import operator_to_json
 
-from conftest import make_rng
+from conftest import make_rng, traced_peak
+
+
+def one_row_norm(row, tag):
+    """Norm of one row taken on that row alone: the arithmetic ``row_norms``
+    gives every row (peak scaled out for finite p, ``np.dot`` at p = 2)."""
+    x = np.abs(np.asarray(row, dtype=np.float64))
+    if tag.kind != "lp" or tag.p.is_inf:
+        return x.max(initial=0.0)
+    pf = float(tag.p)
+    if pf == 1.0:
+        return x.sum()
+    if pf == 2.0:
+        return np.sqrt(np.dot(x, x))
+    top = x.max(initial=0.0)
+    x /= top if top != 0.0 else 1.0
+    np.power(x, pf, out=x)
+    return top * np.power(x.sum(), 1.0 / pf)
+
+
+def all_tags(dim):
+    return (lp(1, dim), lp("4/3", dim), lp("3/2", dim), lp(2, dim), lp(3, dim),
+            lp(np.inf, dim), c0(dim), linf(dim))
 
 
 def per_row_dot_norms(rows):
@@ -84,19 +106,36 @@ class TestNorms:
         assert lp_norm(np.zeros(3), lp("3/2", 3)) == 0.0
         assert lp_norm(np.array([0.0, 1e-320, 0.0]), linf(3)) > 0.0
 
-    def test_row_norms_equal_lp_norm_row_by_row(self):
-        rng = make_rng(56)
-        for dim in (1, 2, 7, 64, 300, 2048):
-            rows = rng.standard_normal((5, dim)) * 10.0 ** rng.uniform(-8, 8, size=(5, 1))
-            rows[3] = 0.0
-            for tag in (lp(1, dim), lp("4/3", dim), lp("3/2", dim), lp(2, dim),
-                        lp(3, dim), lp(np.inf, dim), c0(dim), linf(dim)):
-                expected = [lp_norm(r, tag) for r in rows]
-                assert np.array_equal(row_norms(rows, tag), expected)
-                # any memory layout sums each row in the one-vector order
-                assert np.array_equal(row_norms(np.asfortranarray(rows), tag), expected)
-                strided = np.repeat(rows, 2, axis=1)[:, ::2]
-                assert np.array_equal(row_norms(strided, tag), expected)
+    @pytest.mark.parametrize("dim", (1, 7, 300, 2048, 4096))
+    def test_row_norms_across_block_boundaries(self, dim):
+        # rows per block of row_norms; k runs to either side of one block and
+        # past three.  The rows cycle through a pool of 37 (prime to every
+        # block length here), so each row's reference is taken once.
+        b = max(1, 2**18 // (8 * dim))
+        rng = make_rng(58, dim)
+        pool = rng.standard_normal((37, dim)) * 10.0 ** rng.uniform(-8, 8, size=(37, 1))
+        pool[1] = 0.0
+        ints = np.rint(pool * 1000).astype(np.int64)
+        ints[2, ::2], ints[2, 1::2] = 2**62, -(2**62)
+        for tag in all_tags(dim):
+            for data in (pool, ints):
+                ref = np.array([one_row_norm(r, tag) for r in data])
+                assert np.array_equal([lp_norm(r, tag) for r in data], ref)
+                for k in (b - 1, b, b + 1, 3 * b + 5):
+                    idx = np.arange(k) % len(data)
+                    rows = data[idx]
+                    for laid in (rows, np.asfortranarray(rows),
+                                 np.repeat(rows, 2, axis=1)[:, ::2]):
+                        assert np.array_equal(row_norms(laid, tag), ref[idx])
+
+    def test_row_norms_memory_does_not_grow_with_rows(self):
+        # one scratch block, 0.03-0.04 n^2 doubles; a full abs copy was 1.00
+        n = 1024
+        rows = make_rng(59).standard_normal((n, n))
+        for tag in all_tags(n):
+            row_norms(rows, tag)  # first-call allocations are not the path's
+            _, peak = traced_peak(lambda: row_norms(rows, tag))
+            assert peak <= 0.29 * n * n * 8
 
     def test_integer_rows_norm_as_float64(self):
         ints = np.array([[1, 2, -3], [0, 0, 0], [4, -5, 6]])
