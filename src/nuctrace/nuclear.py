@@ -50,6 +50,9 @@ MU_FLOOR = 1e-300
 
 _REWRITE_SCHEMES = ("split", "merge", "rotate")
 
+# Bytes per block in which the constructor divides rows not of norm 1.0.
+_DIVIDE_BYTES = 2**15
+
 
 class SchemeNotApplicableError(ValueError):
     """Raised when a rewrite scheme has no admissible target in the rep."""
@@ -113,10 +116,8 @@ class NuclearRep:
         kept = np.flatnonzero(scale >= MU_FLOOR)
         order_idx = kept[np.argsort(-scale[kept], kind="stable")]
         self._mu = scale[order_idx]
-        self._fun = fun[order_idx]
-        self._fun /= norm_f[order_idx, None]
-        self._vec = vec[order_idx]
-        self._vec /= norm_v[order_idx, None]
+        self._fun = _unit_rows(fun, norm_f, order_idx)
+        self._vec = _unit_rows(vec, norm_v, order_idx)
         for a in (self._mu, self._fun, self._vec):
             a.flags.writeable = False
 
@@ -150,6 +151,28 @@ def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
     if rows.shape != (k, tag.dim):
         raise ValueError(f"term coordinates of shape {rows.shape} do not match {k} rows in {tag}")
     return rows
+
+
+def _unit_rows(rows: np.ndarray, norms: np.ndarray, order_idx: np.ndarray) -> np.ndarray:
+    """``rows[order_idx]``, each row divided by its norm.
+
+    ``x / 1.0 == x`` for finite ``x``, so rows of norm exactly 1.0 (most
+    rows of an existing rep) are only gathered.  Raw input, where more than
+    a third of the rows need dividing, is divided whole and in place, which
+    is faster there; otherwise only those rows are divided, gathered in
+    blocks of at most ``_DIVIDE_BYTES``.
+    """
+    out = rows[order_idx]
+    norms = norms[order_idx]
+    todo = np.flatnonzero(norms != 1.0)
+    if 3 * todo.size > out.shape[0]:
+        out /= norms[:, None]
+        return out
+    step = max(1, _DIVIDE_BYTES // (8 * out.shape[1]))
+    for i in range(0, todo.size, step):
+        idx = todo[i : i + step]
+        out[idx] /= norms[idx, None]
+    return out
 
 
 def quasi_norm_value(rep: NuclearRep, s) -> float:

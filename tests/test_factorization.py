@@ -21,6 +21,7 @@ from nuctrace import (
     split_diagonal,
     summing_certificates,
 )
+from nuctrace.nuclear import rotate_pair
 
 from conftest import make_rng, random_rep, traced_peak
 
@@ -196,6 +197,30 @@ class TestMemory:
         rep, peak = traced_peak(lambda: generate_family(cfg, n))
         assert len(rep) == n
         assert peak <= 6.25 * n * n * 8
+
+    def test_rotate_pair_peak(self):
+        # 4.08 n^2 doubles: the two rows concatenated with the rotated pair,
+        # and the rep's two gathered from them; the unit rows are not divided
+        n = self.N
+        cfg = ExperimentConfig(p=INF, family="shared_functional_rotations",
+                               decay=DecayProfile(1.0, n), ladder=(n,), seed=7,
+                               cases_per_level=1)
+        rep = generate_family(cfg, n)
+        rotate_pair(rep, 3, n // 2, 0.5)
+        out, peak = traced_peak(lambda: rotate_pair(rep, 3, n // 2, 0.5))
+        assert len(out) == n
+        assert peak <= 4.33 * n * n * 8
+
+    def test_raw_input_rep_peak(self):
+        # 2.16 n^2 doubles: every row needs dividing and is divided in place
+        # in the rep's two gathered arrays
+        n = self.N
+        draws = make_rng(7).standard_normal((2, n, n))
+        mu = np.linspace(1.0, 0.5, n)
+        NuclearRep(lp("3/2", n), mu, draws[0], draws[1])
+        rep, peak = traced_peak(lambda: NuclearRep(lp("3/2", n), mu, draws[0], draws[1]))
+        assert len(rep) == n
+        assert peak <= 2.41 * n * n * 8
 
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_certificates_peak(self, p):

@@ -13,6 +13,8 @@ compared within an eigensolver budget.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nuctrace import (
@@ -227,6 +229,119 @@ def test_constructor_drops_everything_below_floor():
     rep = NuclearRep(lp(3, 4), [1e-200], np.ones((1, 4)) * 1e-60, np.ones((1, 4)) * 1e-60)
     assert len(rep) == 0
     assert rep.functionals.shape == rep.vectors.shape == (0, 4)
+
+
+NON_UNIT_PATTERNS = ("none", "all", "first", "last", "alternating", "random")
+
+
+def mixed_rows(rng, tag, k, pattern, ints, own_rows):
+    """``k`` rows on ``tag``, of norm 1.0 or not as ``pattern`` says.
+
+    The non-unit rows are scaled draws with signed zeros and subnormal
+    entries.  The unit rows are coordinate rows (zeros signed, one entry
+    subnormal), in the sup norm every third one raised to a peak of +-1
+    over smaller entries, and every third one a row of ``own_rows``, the
+    rows of an existing rep.  ``ints`` gives integer rows instead: draws in
+    [-9, 9] peaking at +-9, and coordinate rows, in the sup norm every
+    other one with entries in {-1, 0, 1}."""
+    n = tag.dim
+    sup = tag.p.is_inf
+    unit = np.zeros((k, n))
+    coord = rng.integers(n, size=k)
+    unit[np.arange(k), coord] = rng.choice([-1.0, 1.0], size=k)
+    if ints:
+        other = rng.integers(-9, 10, size=(k, n))
+        other[np.arange(k), coord] = rng.choice([-9, 9], size=k)
+        if sup:  # a +-1 peak over entries in {-1, 0, 1}
+            unit[1::2] += rng.integers(-1, 2, size=(len(unit[1::2]), n)) * (unit[1::2] == 0)
+        unit = unit.astype(np.int64)
+    else:
+        other = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        other[:, ::3] = -0.0
+        other[:, 1::5] = 5e-324
+        unit[unit == 0] = -0.0
+        if n > 1:
+            unit[np.arange(k), (coord + 1) % n] = 5e-324
+        if sup:  # a +-1 peak over smaller entries
+            unit[1::3] += rng.uniform(-1, 1, size=(len(unit[1::3]), n)) * (unit[1::3] == 0)
+        take = min(k, len(own_rows))
+        unit[2:take:3] = own_rows[2:take:3]
+    non_unit = {
+        "none": np.zeros(k, dtype=bool),
+        "all": np.ones(k, dtype=bool),
+        "first": np.arange(k) == 0,
+        "last": np.arange(k) == k - 1,
+        "alternating": np.arange(k) % 2 == 1,
+        "random": rng.random(k) < rng.uniform(0.0, 0.6),
+    }[pattern]
+    return np.where(non_unit[:, None], other, unit)
+
+
+def laid_out(rows, layout):
+    """``rows`` C-ordered, Fortran-ordered or as a strided column block."""
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "strided":
+        draws = np.zeros((rows.shape[0], 2, rows.shape[1]), dtype=rows.dtype)
+        draws[:, 0] = rows
+        draws[:, 1] = 7
+        return draws[:, 0]
+    return np.ascontiguousarray(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(EXPONENTS),
+    st.integers(0, 200),
+    st.integers(1, 200),
+    st.sampled_from(NON_UNIT_PATTERNS),
+    st.sampled_from(NON_UNIT_PATTERNS),
+    st.sampled_from(("C", "F", "strided")),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_constructor_on_unit_and_non_unit_rows(p, k, n, f_pattern, v_pattern, layout,
+                                               ints, seed):
+    # a row of norm exactly 1.0 is not divided, which must give the bits of
+    # the per-term loop's division whatever the mix and layout of the rows
+    rng = make_rng(seed)
+    ambient = lp(p, n)
+    own = random_rep(rng, p, n, min(k, 50))
+    fun = laid_out(mixed_rows(rng, own.conjugate, k, f_pattern, ints, own.functionals), layout)
+    vec = laid_out(mixed_rows(rng, ambient, k, v_pattern, ints, own.vectors), layout)
+    mu = rng.uniform(0.0, 2.0, size=k)
+    mu[rng.random(k) < 0.1] = 0.0  # dropped below MU_FLOOR
+    mu[1::4] = mu[0::4][: len(mu[1::4])]  # ties keep their order
+    inputs = [mu, fun, vec] + [a.base for a in (fun, vec) if a.base is not None]
+    before = [a.copy() for a in inputs]
+    rep = NuclearRep(ambient, mu, fun, vec)
+    ref = ref_arrays(ambient, zip(mu, fun, vec))
+    for got, want in zip((rep.mu, rep.functionals, rep.vectors), ref):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # -0.0 stays -0.0
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", (7, 300, 4096))
+def test_constructor_divides_non_unit_rows_across_blocks(dim):
+    # the constructor divides up to a third of the rows in blocks of
+    # max(1, 2**15 // (8 dim)) rows; the counts run to either side of one
+    # block and past three, spread over the rows so they leave their order
+    b = max(1, 2**15 // (8 * dim))
+    rng = make_rng(209, dim)
+    for p in (1, "3/2", "inf"):
+        ambient = lp(p, dim)
+        for m in (1, b - 1, b, b + 1, 3 * b + 5):
+            k = 3 * m + 2
+            fun = np.eye(dim)[np.arange(k) % dim]
+            vec = -np.eye(dim)[(np.arange(k) * 5) % dim]
+            scaled = rng.permutation(k)[:m]
+            fun[scaled] *= rng.uniform(0.5, 4.0, size=(m, 1))
+            vec[scaled[: m // 2]] = rng.standard_normal((m // 2, dim))
+            mu = rng.uniform(0.5, 2.0, size=k)
+            rep = NuclearRep(ambient, mu, fun, vec)
+            assert_same(rep, RefRep(ambient, zip(mu, fun, vec)))
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
