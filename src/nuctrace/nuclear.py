@@ -14,7 +14,10 @@ weight of its term.
 Rewrites (``split``, ``merge``, ``rotate``) change the term list while
 leaving the assembled matrix fixed to rounding error; they are the probes
 used to observe that the trace functional does not depend on which term
-list represents an operator.
+list represents an operator.  A rewrite names its new terms by their rows
+in the parent rep (plus, for ``rotate``, the two rotated rows) and goes
+through the constructor's own checks, which gather each stored row once,
+straight from the parent's rows into its sorted position.
 """
 
 from __future__ import annotations
@@ -96,18 +99,29 @@ class NuclearRep:
         mu = np.asarray(mu, dtype=np.float64)
         if mu.ndim != 1:
             raise ValueError(f"weights must be a 1-d array, got shape {mu.shape}")
+        k = mu.shape[0]
+        fun = _rows(functionals, k, self.conjugate)
+        vec = _rows(vectors, k, ambient)
+        self._store(mu, fun, vec, np.arange(k), fun[:0], vec[:0])
+
+    def _store(self, mu, fun, vec, take, fresh_fun, fresh_vec):
+        """Check and store the terms of weights ``mu`` whose rows are
+        ``fun[take]`` followed by ``fresh_fun`` (and the same for ``vec``).
+
+        Every row is normed here; ``fun`` and ``vec`` are only read.
+        """
         bad = ~(np.isfinite(mu) & (mu >= 0))
         if bad.any():
             raise ValueError(f"term weights must be finite and >= 0, got {mu[bad][0]}")
-        fun = _rows(functionals, mu.shape[0], self.conjugate)
-        vec = _rows(vectors, mu.shape[0], ambient)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            norm_f = row_norms(fun, self.conjugate)
-            norm_v = row_norms(vec, ambient)
+            norm_f = np.concatenate([row_norms(fun, self.conjugate)[take],
+                                     row_norms(fresh_fun, self.conjugate)])
+            norm_v = np.concatenate([row_norms(vec, self.ambient)[take],
+                                     row_norms(fresh_vec, self.ambient)])
             scale = mu * norm_f * norm_v
             total = scale.sum()
         if not (np.isfinite(norm_f).all() and np.isfinite(norm_v).all()):
-            if not (np.isfinite(fun).all() and np.isfinite(vec).all()):
+            if not all(np.isfinite(a).all() for a in (fun, vec, fresh_fun, fresh_vec)):
                 raise ValueError("term coordinates must be finite")
             raise ValueError("a term coordinate norm overflows")
         if not np.isfinite(total):
@@ -115,9 +129,15 @@ class NuclearRep:
 
         kept = np.flatnonzero(scale >= MU_FLOOR)
         order_idx = kept[np.argsort(-scale[kept], kind="stable")]
+        # stored term i is row src[i] of fun and vec, or, at the positions
+        # ``at`` of terms past ``take``, a fresh row written over row 0
+        t = take.shape[0]
+        src = np.concatenate([take, np.zeros(fresh_fun.shape[0], dtype=take.dtype)])[order_idx]
+        at = np.flatnonzero(order_idx >= t)
+        fresh = order_idx[at] - t
         self._mu = scale[order_idx]
-        self._fun = _unit_rows(fun, norm_f, order_idx)
-        self._vec = _unit_rows(vec, norm_v, order_idx)
+        self._fun = _unit_rows(fun, src, at, fresh_fun[fresh], norm_f[order_idx])
+        self._vec = _unit_rows(vec, src, at, fresh_vec[fresh], norm_v[order_idx])
         for a in (self._mu, self._fun, self._vec):
             a.flags.writeable = False
 
@@ -153,8 +173,10 @@ def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
     return rows
 
 
-def _unit_rows(rows: np.ndarray, norms: np.ndarray, order_idx: np.ndarray) -> np.ndarray:
-    """``rows[order_idx]``, each row divided by its norm.
+def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndarray,
+               norms: np.ndarray) -> np.ndarray:
+    """``rows[src]`` with the rows ``fresh`` written at positions ``at``,
+    each row divided by its entry of ``norms``.
 
     ``x / 1.0 == x`` for finite ``x``, so rows of norm exactly 1.0 (most
     rows of an existing rep) are only gathered.  Raw input, where more than
@@ -162,8 +184,8 @@ def _unit_rows(rows: np.ndarray, norms: np.ndarray, order_idx: np.ndarray) -> np
     is faster there; otherwise only those rows are divided, gathered in
     blocks of at most ``_DIVIDE_BYTES``.
     """
-    out = rows[order_idx]
-    norms = norms[order_idx]
+    out = rows[src]
+    out[at] = fresh
     todo = np.flatnonzero(norms != 1.0)
     if 3 * todo.size > out.shape[0]:
         out /= norms[:, None]
@@ -219,18 +241,26 @@ def _generator(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _rewritten(rep: NuclearRep, mu, fun, vec) -> NuclearRep:
-    return NuclearRep(rep.ambient, mu, fun, vec, order=rep.order)
+def _rewritten(rep: NuclearRep, mu: np.ndarray, take: np.ndarray,
+               fresh_fun=None, fresh_vec=None) -> NuclearRep:
+    """The rep of weights ``mu`` on the rows ``take`` of ``rep`` followed
+    by the fresh rows, through the constructor's checks."""
+    out = object.__new__(NuclearRep)
+    out.ambient, out.conjugate, out.order = rep.ambient, rep.conjugate, rep.order
+    if fresh_fun is None:
+        fresh_fun, fresh_vec = rep.functionals[:0], rep.vectors[:0]
+    out._store(mu, rep.functionals, rep.vectors, take, fresh_fun, fresh_vec)
+    return out
 
 
 def _split(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     if len(rep) < 1:
         raise SchemeNotApplicableError("split needs at least one term")
     k = int(rng.integers(len(rep)))
-    idx = np.insert(np.arange(len(rep)), k, k)
-    mu = rep.mu[idx]
+    take = np.insert(np.arange(len(rep)), k, k)
+    mu = rep.mu[take]
     mu[k : k + 2] = rep.mu[k] / 2.0
-    return _rewritten(rep, mu, rep.functionals[idx], rep.vectors[idx])
+    return _rewritten(rep, mu, take)
 
 
 def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
@@ -287,10 +317,10 @@ def _merge(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     if not pairs:
         raise SchemeNotApplicableError("merge needs two parallel-compatible terms")
     i, j = pairs[int(rng.integers(len(pairs)))]
-    idx = np.concatenate(([i], np.delete(np.arange(len(rep)), [i, j])))
-    mu = rep.mu[idx]
+    take = np.concatenate(([i], np.delete(np.arange(len(rep)), [i, j])))
+    mu = rep.mu[take]
     mu[0] = rep.mu[i] + rep.mu[j]
-    return _rewritten(rep, mu, rep.functionals[idx], rep.vectors[idx])
+    return _rewritten(rep, mu, take)
 
 
 def _rotate(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
@@ -316,9 +346,13 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     rotated terms follow them.  When the pair shares a functional the
     rotation redistributes weight between the two terms; at theta = pi/4
     one term degenerates to zero and is dropped, which merges the pair.
-    Negative ``i``, ``j`` count from the end; naming one term twice raises
-    ``ValueError``.
+    Negative ``i``, ``j`` count from the end; naming one term twice or a
+    non-finite ``theta`` raises ``ValueError``, a boolean index ``TypeError``.
     """
+    if isinstance(i, (bool, np.bool_)) or isinstance(j, (bool, np.bool_)):
+        raise TypeError(f"rotate_pair takes integer term indices, got {i!r} and {j!r}")
+    if not np.isfinite(theta):
+        raise ValueError(f"rotate_pair needs a finite angle, got {theta}")
     c, s = np.cos(theta), np.sin(theta)
     mu_i, mu_j = rep.mu[i], rep.mu[j]  # rejects an index out of range
     lo, hi = sorted((i % len(rep), j % len(rep)))
@@ -333,16 +367,9 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     # assembled matrix by at most 1e-14 relative, inside the contract
     weight = row_norms(fun, rep.conjugate) * row_norms(vec, rep.ambient)
     live = weight > 1e-14 * (mu_i + mu_j)
-
-    def rest_then(rows, tail):
-        return np.concatenate([rows[:lo], rows[lo + 1 : hi], rows[hi + 1 :], tail])
-
-    return _rewritten(
-        rep,
-        rest_then(rep.mu, np.ones(int(live.sum()))),
-        rest_then(rep.functionals, fun[live]),
-        rest_then(rep.vectors, vec[live]),
-    )
+    take = np.delete(np.arange(len(rep)), [lo, hi])
+    mu = np.concatenate([rep.mu[take], np.ones(int(live.sum()))])
+    return _rewritten(rep, mu, take, fun[live], vec[live])
 
 
 def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:

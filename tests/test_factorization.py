@@ -17,6 +17,7 @@ from nuctrace import (
     generate_family,
     lp,
     pipeline_to_json,
+    rewrite_equivalent,
     run_factorization_suite,
     split_diagonal,
     summing_certificates,
@@ -165,12 +166,14 @@ class TestMemory:
 
     numpy reports its buffers to tracemalloc, so the counts do not depend
     on the allocator.  A family holds its two row arrays, drawn once and
-    normalized in place, plus the rep's two.  A pipeline holds the
-    assembled target and the composed product above the rep it shares A
-    and B with, and takes their difference in place in the product; the
-    peak of 3 comes from the k x n temporaries that ``assemble`` and
-    ``compose`` hold next to their products.  Row norms go through one
-    scratch block, so the certificates add almost nothing.
+    normalized in place, plus the rep's two.  A rewrite gathers its rep's
+    two arrays straight from its parent's rows and holds little else
+    (merge first sorts the parent's rows in ``_parallel_pairs``).  A
+    pipeline holds the assembled target and the composed product above the
+    rep it shares A and B with, and takes their difference in place in the
+    product; the peak of 3 comes from the k x n temporaries that
+    ``assemble`` and ``compose`` hold next to their products.  Row norms go
+    through one scratch block, so the certificates add almost nothing.
     """
 
     N = 256
@@ -188,28 +191,52 @@ class TestMemory:
         assert peak <= 3.25 * n * n * 8
 
     def test_rotation_family_peak(self):
-        # 6.21 n^2 doubles: the draws are freed before the 8 rotations
+        # 4.12 n^2 doubles: the draws are freed before the 8 rotations, and
+        # each rotation holds the new rep's two arrays next to the old rep's
+        n = self.N
+        self.rotation_family()
+        rep, peak = traced_peak(self.rotation_family)
+        assert len(rep) == n
+        assert peak <= 4.37 * n * n * 8
+
+    @staticmethod
+    def rewrite_peak(rewrite, parent):
+        rewrite(parent)  # first-call allocations are not the path's
+        return traced_peak(lambda: rewrite(parent))
+
+    def rotation_family(self):
         n = self.N
         cfg = ExperimentConfig(p=INF, family="shared_functional_rotations",
                                decay=DecayProfile(1.0, n), ladder=(n,), seed=7,
                                cases_per_level=1)
-        generate_family(cfg, n)
-        rep, peak = traced_peak(lambda: generate_family(cfg, n))
-        assert len(rep) == n
-        assert peak <= 6.25 * n * n * 8
+        return generate_family(cfg, n)
 
     def test_rotate_pair_peak(self):
-        # 4.08 n^2 doubles: the two rows concatenated with the rotated pair,
-        # and the rep's two gathered from them; the unit rows are not divided
+        # 2.10 n^2 doubles: the new rep's two arrays, gathered once from the
+        # parent's rows, with the two rotated rows written in
         n = self.N
-        cfg = ExperimentConfig(p=INF, family="shared_functional_rotations",
-                               decay=DecayProfile(1.0, n), ladder=(n,), seed=7,
-                               cases_per_level=1)
-        rep = generate_family(cfg, n)
-        rotate_pair(rep, 3, n // 2, 0.5)
-        out, peak = traced_peak(lambda: rotate_pair(rep, 3, n // 2, 0.5))
+        out, peak = self.rewrite_peak(lambda rep: rotate_pair(rep, 3, n // 2, 0.5),
+                                      self.rotation_family())
         assert len(out) == n
-        assert peak <= 4.33 * n * n * 8
+        assert peak <= 2.35 * n * n * 8
+
+    def test_split_peak(self):
+        # 2.06 n^2 doubles: the new rep's two arrays, gathered once from the
+        # parent's rows
+        n = self.N
+        out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "split", 5),
+                                      self.rotation_family())
+        assert len(out) == n + 1
+        assert peak <= 2.31 * n * n * 8
+
+    def test_merge_peak(self):
+        # 4.06 n^2 doubles: _parallel_pairs' k x 2n sign-canonical rows and
+        # their sort keys; the new rep's two arrays come after they are freed
+        n = self.N
+        parent = rewrite_equivalent(self.rotation_family(), "split", 5)
+        out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "merge", 5), parent)
+        assert len(out) == n
+        assert peak <= 4.31 * n * n * 8
 
     def test_raw_input_rep_peak(self):
         # 2.16 n^2 doubles: every row needs dividing and is divided in place

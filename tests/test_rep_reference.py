@@ -36,7 +36,7 @@ from nuctrace import (
 )
 from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights
-from nuctrace.nuclear import MU_FLOOR, _generator, _parallel_pairs, rotate_pair
+from nuctrace.nuclear import MU_FLOOR, _generator, _merge, _parallel_pairs, _split, rotate_pair
 from nuctrace.seqspace import c0, linf
 from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
@@ -448,6 +448,155 @@ def test_quarter_pi_rotation_drops_one_term_at_any_position(p):
     out = rotate_pair(pair, 1, 0, np.pi / 4)
     assert_same(out, RefRep(pair.ambient, ref_rotate_pair(ref_pair, 1, 0, np.pi / 4)))
     assert len(out) == 1
+
+
+class Pick:
+    """A stand-in generator whose ``integers`` returns a chosen index, so a
+    test can split or merge at a position of its choice."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def integers(self, high):
+        assert 0 <= self.index < high
+        return self.index
+
+
+def from_terms(ambient, terms):
+    """The rep of an explicit list of ``(mu, f, v)`` terms."""
+    n = ambient.dim
+    return NuclearRep(
+        ambient,
+        [t[0] for t in terms],
+        np.array([t[1] for t in terms], dtype=np.float64).reshape(-1, n),
+        np.array([t[2] for t in terms], dtype=np.float64).reshape(-1, n),
+    )
+
+
+def rotated_parent(rng, p, n, k, rotations):
+    """``k`` random terms, a pair sharing a functional and a light term of
+    weight in ``[MU_FLOOR, 2 MU_FLOOR)`` (last), with pairs of distinct
+    random terms then rotated; the rotated rows are renormalized, so at
+    p in {1, 3/2} their recomputed norms are not all exactly 1.0."""
+    base = random_rep(rng, p, n, k)
+    extra = rng.standard_normal((3, n))
+    light = np.eye(n)[0]  # of norm 1.0 in every tag, so the weight stays as given
+    rep = NuclearRep(
+        base.ambient,
+        np.append(base.mu, [0.7, 0.3, 1.5 * MU_FLOOR]),
+        np.vstack([base.functionals, extra[0], extra[0], light]),
+        np.vstack([base.vectors, extra[1], extra[2], light]),
+    )
+    for _ in range(rotations):
+        free = [t for t in range(len(rep) - 1)
+                if sum(np.array_equal(rep.functionals[t], f) for f in rep.functionals) == 1]
+        if len(free) < 2:
+            break
+        i, j = rng.choice(free, size=2, replace=False)
+        rep = rotate_pair(rep, int(i), int(j), float(rng.uniform(0.1, 1.4)))
+    return rep
+
+
+def shared_pairs(rep):
+    return [(i, j) for i in range(len(rep)) for j in range(i + 1, len(rep))
+            if np.array_equal(rep.functionals[i], rep.functionals[j])]
+
+
+def assert_rewrite_of(parent, out, terms):
+    """``out`` is bitwise the rep of the explicit ``terms``, read-only and
+    apart from ``parent``."""
+    ref = from_terms(parent.ambient, terms)
+    assert out.order == parent.order
+    for got, want, old in zip((out.mu, out.functionals, out.vectors),
+                              (ref.mu, ref.functionals, ref.vectors),
+                              (parent.mu, parent.functionals, parent.vectors)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, old)
+
+
+def rotated_terms(parent, i, j, theta):
+    """The terms of ``rotate_pair(parent, i, j, theta)``, listed out: the
+    others in order, then the rotated pair without a degenerate side."""
+    c, s = np.cos(theta), np.sin(theta)
+    terms = list(zip(parent.mu, parent.functionals, parent.vectors))
+    (mu_i, f_i, v_i), (mu_j, f_j, v_j) = terms[i], terms[j]
+    x_i, x_j = mu_i * v_i, mu_j * v_j
+    out = [t for m, t in enumerate(terms) if m not in (i, j)]
+    for f, x in ((c * f_i + s * f_j, c * x_i + s * x_j), (-s * f_i + c * f_j, -s * x_i + c * x_j)):
+        if ref_norm(f, parent.conjugate) * ref_norm(x, parent.ambient) > 1e-14 * (mu_i + mu_j):
+            out.append((1.0, f, x))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXPONENTS), st.integers(2, 60), st.integers(2, 24), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+def test_rewrites_gather_the_listed_terms(p, n, k, rotations, seed):
+    # each rewrite gathers its rows straight from the parent's; it must give
+    # the bits of the constructor on the listed term list
+    parent = rotated_parent(make_rng(seed), p, n, k, rotations)
+    assert MU_FLOOR <= parent.mu[-1] < 2 * MU_FLOOR
+    before = [a.tobytes() for a in (parent.mu, parent.functionals, parent.vectors)]
+    terms = list(zip(parent.mu, parent.functionals, parent.vectors))
+    for pos in range(len(parent)):
+        out = _split(parent, Pick(pos))
+        mu, f, v = terms[pos]
+        assert_rewrite_of(parent, out, terms[:pos] + [(mu / 2.0, f, v)] * 2 + terms[pos + 1 :])
+        # the light term's halves both fall below MU_FLOOR
+        light = pos == len(parent) - 1
+        assert len(out) == len(parent) + (-1 if light else 1)
+    split = _split(parent, Pick(0))
+    split_terms = list(zip(split.mu, split.functionals, split.vectors))
+    pairs = _parallel_pairs(split)
+    assert pairs
+    for q, (i, j) in enumerate(pairs):
+        merged = (split.mu[i] + split.mu[j], split.functionals[i], split.vectors[i])
+        rest = [t for t, term in enumerate(split_terms) if t not in (i, j)]
+        assert_rewrite_of(split, _merge(split, Pick(q)), [merged] + [split_terms[t] for t in rest])
+    # pi/4 on the shared pair drops one rotated row, in both orders and by
+    # negative indices; alone, the pair comes back as one term
+    (i, j), = shared_pairs(parent)
+    size = len(parent)
+    for a, b in ((i, j), (j, i), (i - size, j - size), (j - size, i)):
+        out = rotate_pair(parent, a, b, np.pi / 4)
+        assert_rewrite_of(parent, out, rotated_terms(parent, a % size, b % size, np.pi / 4))
+        assert len(out) == size - 1
+    # a generic angle keeps both rotated rows, here with the light term
+    for a, b in ((0, -1), (size - 1, 1)):
+        out = rotate_pair(parent, a, b, 0.6)
+        assert_rewrite_of(parent, out, rotated_terms(parent, a % size, b % size, 0.6))
+    pair = NuclearRep(parent.ambient, parent.mu[[i, j]], parent.functionals[[i, j]],
+                      parent.vectors[[i, j]])
+    for a, b in ((0, 1), (-1, -2)):
+        out = rotate_pair(pair, a, b, np.pi / 4)
+        assert_rewrite_of(pair, out, rotated_terms(pair, a % 2, b % 2, np.pi / 4))
+        assert len(out) == 1
+    after = [a.tobytes() for a in (parent.mu, parent.functionals, parent.vectors)]
+    assert after == before
+
+
+@pytest.mark.parametrize("p", (1, "3/2"))
+def test_rotated_parents_have_rows_of_norm_not_one(p):
+    # the parents of the test above reach the rewrites' divide at these p
+    parent = rotated_parent(make_rng(210), p, 40, 12, 4)
+    norms = np.concatenate([row_norms(parent.functionals, parent.conjugate),
+                            row_norms(parent.vectors, parent.ambient)])
+    assert (norms != 1.0).any()
+
+
+@pytest.mark.parametrize("p", (2, "inf"))
+def test_rotate_pair_rejects_non_finite_angle_and_boolean_index(p):
+    # a non-finite angle made both rotated rows non-finite, and the liveness
+    # test dropped both terms, so the rep assembled to another operator
+    mu, fun, vec = scattered_arrays(make_rng(211), 5, 3)
+    rep = NuclearRep(lp(p, 5), mu, fun, vec)
+    for theta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite angle"):
+            rotate_pair(rep, 0, 2, theta)
+    for i, j in ((0, True), (False, 1), (np.True_, 2)):
+        with pytest.raises(TypeError, match="integer term indices"):
+            rotate_pair(rep, i, j, 0.3)
 
 
 def boundary_gap():
