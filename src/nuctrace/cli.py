@@ -14,11 +14,12 @@ stdout.
 Rep and config files are parsed as strict JSON by orjson: ``NaN`` and
 ``Infinity`` literals, numbers that overflow a double, a byte order mark
 and lone surrogates exit 2; integers past 64 bits parse as floats.  The
-pipeline file is written by orjson (compact, shortest round-trip numbers),
-the stdout lines by the stdlib ``json``.  An unwritable output is found
-before any work: ``factorize`` checks that ``--out`` is not a directory
-and that its directory exists before it loads the rep, and ``suite``
-creates its output directory first.
+pipeline file is written by orjson (compact, shortest round-trip numbers)
+straight from the stage arrays, with no Python float lists and no second
+copy of its bytes; the stdout lines are written by the stdlib ``json``.
+An unwritable output is found before any work: ``factorize`` checks that
+``--out`` is not a directory and that its directory exists before it loads
+the rep, and ``suite`` creates its output directory first.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def _cmd_factorize(args) -> int:
     if out.is_dir():
         raise ValueError(f"cannot write {out}: it is a directory")
     pipe = build_pipeline(_load_rep(args.rep))
-    out.write_bytes(orjson.dumps(pipeline_to_json(pipe), option=orjson.OPT_SORT_KEYS) + b"\n")
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    out.write_bytes(orjson.dumps(pipeline_to_json(pipe), option=options))
     print(f"wrote pipeline for p={pipe.triple.p} to {args.out}", file=sys.stderr)
     return 0
 

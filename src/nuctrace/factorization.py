@@ -125,7 +125,8 @@ def split_diagonal(mu, s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("diagonal entries must be strictly positive and finite")
     s = OrderExponent(s)
     half = np.power(mu, float(s) / 2.0)
-    return half, half.copy()
+    half.flags.writeable = False
+    return half, half
 
 
 def build_pipeline(rep: NuclearRep) -> Pipeline:
@@ -256,11 +257,18 @@ exponent_budget = ParameterTriple.from_p
 
 def pipeline_to_json(pipe: Pipeline) -> dict:
     """Pipeline JSON, format 2: A and B as dense matrices, every diagonal
-    stage once, as its ``diagonal``."""
+    stage once, as its ``diagonal``.
+
+    ``mu`` and every stage's ``matrix`` or ``diagonal`` are read-only
+    C-contiguous float64 ndarrays (see :func:`operator_to_json`), not lists:
+    write the document with orjson and ``OPT_SERIALIZE_NUMPY``, which the
+    stdlib ``json`` cannot do.  ``mu`` is the pipeline's own weights, the
+    rep's read-only array.
+    """
     return {
         "format": 2,
         "triple": pipe.triple.as_dict(),
-        "mu": pipe.mu.tolist(),
+        "mu": pipe.mu,
         "stages": {
             "A": operator_to_json(pipe.stage_a),
             "D_one_minus_s": operator_to_json(pipe.stage_d1ms),

@@ -13,11 +13,12 @@ codomain; truncation levels are capped at 4096.  A diagonal operator is
 stored as its diagonal, which :func:`compose` applies by scaling rows.
 Vectors and functionals are plain arrays, one per row, normed against a tag.
 
-Sharing rule: a :class:`DenseOperator` keeps a read-only float64 array as
-it is, without a copy, and copies and freezes anything else.  Read-only is
-numpy's flag, not a guarantee: the owner of the memory can make it
-writeable again and change the operator under its feet, so only hand over
-arrays whose owner keeps them frozen (the rows of a ``NuclearRep``, say).
+Sharing rule: a :class:`DenseOperator` and a :class:`DiagonalOperator`
+keep a read-only float64 array as it is, without a copy, and copy and
+freeze anything else.  Read-only is numpy's flag, not a guarantee: the
+owner of the memory can make it writeable again and change the operator
+under its feet, so only hand over arrays whose owner keeps them frozen (the
+rows of a ``NuclearRep``, say).
 
 :func:`row_norms` takes the norm of every row of a ``(k, dim)`` array,
 walking the rows in cache-sized blocks through one reused scratch array, so
@@ -116,6 +117,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shared(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 ndarray (the sharing rule),
+    otherwise a frozen float64 copy of it."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    return _freeze(np.array(a, dtype=np.float64, copy=True))
+
+
 @dataclass(frozen=True)
 class DenseOperator:
     """A dense operator, ``matrix`` of shape ``(codomain.dim, domain.dim)``.
@@ -128,9 +137,7 @@ class DenseOperator:
     codomain: SpaceTag
 
     def __post_init__(self):
-        m = self.matrix
-        if not (type(m) is np.ndarray and m.dtype == np.float64 and not m.flags.writeable):
-            m = _freeze(np.array(m, dtype=np.float64, copy=True))
+        m = _shared(self.matrix)
         if m.ndim != 2 or m.shape != (self.codomain.dim, self.domain.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match "
@@ -142,17 +149,18 @@ class DenseOperator:
 @dataclass(frozen=True)
 class DiagonalOperator:
     """A diagonal operator between two tags of equal truncation, stored as
-    its diagonal; ``matrix`` builds the dense form on each read."""
+    its diagonal; ``matrix`` builds the dense form on each read.  The
+    diagonal is shared or copied as in :class:`DenseOperator`."""
 
     diag: np.ndarray
     domain: SpaceTag
     codomain: SpaceTag
 
     def __post_init__(self):
-        d = np.array(self.diag, dtype=np.float64, copy=True)
+        d = _shared(self.diag)
         if d.ndim != 1 or not self.domain.dim == self.codomain.dim == d.shape[0]:
             raise SpaceMismatchError("diagonal length must match both truncations")
-        object.__setattr__(self, "diag", _freeze(d))
+        object.__setattr__(self, "diag", d)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -243,9 +251,12 @@ def compose(ops: Sequence[Operator]) -> DenseOperator:
 
 # --- JSON interchange -------------------------------------------------------
 #
-# Operators are written as plain JSON arrays next to their tags (row-major
-# for a matrix, a diagonal operator as its diagonal); this is the format the
-# pipeline export uses.  Reps and configs are read by their own loaders.
+# Operators are written as JSON arrays next to their tags (row-major for a
+# matrix, a diagonal operator as its diagonal); this is the format the
+# pipeline export uses.  The array leaves stay ndarrays, read-only and
+# C-contiguous, so they are written straight from their buffers by orjson
+# with ``OPT_SERIALIZE_NUMPY``; the stdlib ``json`` cannot write them.  Reps
+# and configs are read by their own loaders.
 
 
 def json_object(data, where: str, *required: str) -> dict:
@@ -267,9 +278,14 @@ def tag_to_json(tag: SpaceTag) -> dict:
 
 
 def operator_to_json(op: Operator) -> dict:
-    out = {"domain": tag_to_json(op.domain), "codomain": tag_to_json(op.codomain)}
+    """The tags and the ``matrix`` (or ``diagonal``) of ``op`` as a
+    read-only C-contiguous float64 ndarray, for orjson's
+    ``OPT_SERIALIZE_NUMPY``: the operator's own array, or one frozen
+    C-ordered copy of a matrix that is a transposed view."""
     if isinstance(op, DiagonalOperator):
-        out["diagonal"] = op.diag.tolist()
+        key, leaf = "diagonal", op.diag
     else:
-        out["matrix"] = op.matrix.tolist()
-    return out
+        key, leaf = "matrix", op.matrix
+    if not leaf.flags.c_contiguous:
+        leaf = _freeze(np.ascontiguousarray(leaf))
+    return {"domain": tag_to_json(op.domain), "codomain": tag_to_json(op.codomain), key: leaf}

@@ -14,6 +14,7 @@ import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nuctrace
 import nuctrace.cli as cli
@@ -241,6 +242,28 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _as_lists(data):
+    """``data`` with every ndarray leaf replaced by its ``tolist()``."""
+    if isinstance(data, np.ndarray):
+        return data.tolist()
+    if isinstance(data, dict):
+        return {key: _as_lists(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_as_lists(value) for value in data]
+    return data
+
+
+# -0.0, the smallest and largest subnormals, integer-valued doubles past
+# 2^53 that print in exponent form, and +-max
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, 1e22, -1e22,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+# every finite double, drawn by its bit pattern, with the edge cases boosted
+FINITE_DOUBLES = st.sampled_from(EDGE_DOUBLES) | st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(math.isfinite)
+
+
 @st.composite
 def decimal_literals(draw):
     """JSON number literals with 1-40 significant digits and exponents in +-340."""
@@ -279,18 +302,40 @@ class TestOrjsonParity:
         for name in ("mu", "functionals", "vectors"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    @pytest.mark.parametrize("p", ["inf", "3", "4/3", "1"])
-    def test_pipeline_file_holds_the_pipeline(self, p, tmp_path, capsys):
+    @staticmethod
+    def check_pipeline_file(rep, tmp_path):
         src, out = tmp_path / "rep.json", tmp_path / "pipe.json"
-        src.write_text(json.dumps(rep_to_json(random_rep(make_rng(17), p, 12, 8))))
+        src.write_text(json.dumps(rep_to_json(rep)))
         assert cli_main(["factorize", "--rep", str(src), "--out", str(out)]) == 0
-        rep = rep_from_json(json.loads(src.read_text()))
+        doc = _as_lists(pipeline_to_json(build_pipeline(rep_from_json(json.loads(src.read_text())))))
         text = out.read_text()
         # orjson writes a non-finite float as null
         assert "null" not in text
-        # re-spelled by json, the file is what json.dumps writes for the pipeline
-        parsed = json.dumps(json.loads(text), sort_keys=True)
-        assert parsed == json.dumps(pipeline_to_json(build_pipeline(rep)), sort_keys=True)
+        # re-spelled by json, the file is what json.dumps writes for the
+        # pipeline document with every array leaf turned into a list
+        assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(doc, sort_keys=True)
+        # and byte for byte what orjson writes for that list-based document
+        assert out.read_bytes() == orjson.dumps(doc, option=orjson.OPT_SORT_KEYS) + b"\n"
+
+    @pytest.mark.parametrize("p", ["inf", "3", "4/3", "1"])
+    def test_pipeline_file_holds_the_pipeline(self, p, tmp_path, capsys):
+        # k = 8 terms on n = 12 coordinates: A and B are not square
+        self.check_pipeline_file(random_rep(make_rng(17), p, 12, 8), tmp_path)
+
+    @pytest.mark.parametrize("p", ["inf", "2", "4/3"])
+    def test_pipeline_file_of_one_term(self, p, tmp_path, capsys):
+        self.check_pipeline_file(random_rep(make_rng(18), p, 5, 1), tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                      elements=FINITE_DOUBLES))
+    def test_numpy_arrays_dump_as_their_lists(self, a):
+        assert orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY) == orjson.dumps(a.tolist())
+
+    def test_edge_doubles_dump_as_their_lists(self):
+        a = np.array(EDGE_DOUBLES)
+        for arr in (a, a.reshape(2, -1), a.reshape(-1, 2)):
+            assert orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY) == orjson.dumps(arr.tolist())
 
 
 JSON_VALUES = st.recursive(

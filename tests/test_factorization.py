@@ -1,4 +1,5 @@
 import numpy as np
+import orjson
 import pytest
 
 from nuctrace import (
@@ -63,6 +64,14 @@ class TestSplitDiagonal:
             assert np.linalg.norm(d1) == pytest.approx(
                 np.sqrt((mu ** float(OrderExponent(s))).sum()), rel=1e-13
             )
+
+    def test_halves_are_one_read_only_array(self):
+        mu = np.array([4.0, 1.0])
+        d1, d2 = split_diagonal(mu, OrderExponent("1/2"))
+        assert d1 is d2 and not d1.flags.writeable
+        assert not np.shares_memory(d1, mu)
+        pipe = build_pipeline(diagonal_rep([1.0, 0.5], p=3))
+        assert pipe.stage_d1.diag is pipe.stage_d2.diag
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -173,7 +182,8 @@ class TestMemory:
     rep it shares A and B with, and takes their difference in place in the
     product; the peak of 3 comes from the k x n temporaries that
     ``assemble`` and ``compose`` hold next to their products.  Row norms go
-    through one scratch block, so the certificates add almost nothing.
+    through one scratch block, so the certificates add almost nothing.  The
+    pipeline file is written straight from the stage arrays.
     """
 
     N = 256
@@ -260,6 +270,25 @@ class TestMemory:
         summing_certificates(pipe)
         _, peak = traced_peak(lambda: summing_certificates(pipe))
         assert peak <= 0.29 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", INF])
+    def test_pipeline_write_peak(self, p):
+        # 9.0 n^2 doubles for the document and the file the CLI writes: the
+        # file itself is 5.3, B's C-ordered copy 1, and the rest is slack in
+        # orjson's growing output buffer; A, mu and the diagonals are not copied
+        n = self.N
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        pipe = build_pipeline(generate_family(cfg, n))
+        options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+        def write():
+            return orjson.dumps(pipeline_to_json(pipe), option=options)
+
+        write()  # first-call allocations are not the path's
+        out, peak = traced_peak(write)
+        assert out.endswith(b"}\n")
+        assert peak <= 9.25 * n * n * 8
 
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_factorize_suite_peak(self, p, tmp_path):
@@ -364,8 +393,27 @@ class TestPipelineJson:
         pipe = build_pipeline(diagonal_rep([1.0, 0.5], p=2))
         data = pipeline_to_json(pipe)
         assert data["triple"] == {"p": "2", "s": "1", "r": "inf"}
-        assert data["mu"] == [1.0, 0.5]
+        assert data["mu"].tolist() == [1.0, 0.5]
         assert set(data["stages"]) == {"A", "D_one_minus_s", "J", "D1", "D2", "B"}
         assert len(data["certificates"]) == 3
-        assert data["stages"]["D1"]["diagonal"] == data["stages"]["D2"]["diagonal"]
+        d1, d2 = data["stages"]["D1"]["diagonal"], data["stages"]["D2"]["diagonal"]
+        assert d1.tolist() == d2.tolist() == np.sqrt([1.0, 0.5]).tolist()
+        assert data["stages"]["J"]["diagonal"].tolist() == [1.0, 1.0]
+        assert data["stages"]["A"]["matrix"].tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert data["format"] == 2
+
+    @pytest.mark.parametrize("p", ["3/2", 3])
+    def test_leaves_are_read_only_c_ordered_arrays(self, p):
+        rep = random_rep(make_rng(24), p, 9, 6)
+        pipe = build_pipeline(rep)
+        data = pipeline_to_json(pipe)
+        stages = data["stages"]
+        leaves = [data["mu"]] + [s.get("matrix", s.get("diagonal")) for s in stages.values()]
+        for leaf in leaves:
+            assert type(leaf) is np.ndarray and leaf.dtype == np.float64
+            assert leaf.flags.c_contiguous and not leaf.flags.writeable
+        # mu and A are the rep's own arrays; B, a transposed view, is copied once
+        assert data["mu"] is rep.mu
+        assert stages["A"]["matrix"] is pipe.stage_a.matrix
+        assert np.array_equal(stages["B"]["matrix"], pipe.stage_b.matrix)
+        assert not np.shares_memory(stages["B"]["matrix"], pipe.stage_b.matrix)

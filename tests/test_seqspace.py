@@ -1,4 +1,5 @@
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +246,23 @@ class TestOperators:
             source[0][0] = 9
             assert np.array_equal(op.matrix, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_diagonal_operator_shares_a_read_only_float64_array(self):
+        d = np.array([1.0, 2.0])
+        d.flags.writeable = False
+        assert DiagonalOperator(d, c0(2), lp(2, 2)).diag is d
+        # a read-only strided view is shared as well
+        assert np.shares_memory(DiagonalOperator(d[::-1], c0(2), c0(2)).diag, d)
+
+    def test_diagonal_operator_copies_anything_else(self):
+        tag = lp(2, 2)
+        for source in (np.array([1.0, 2.0]), [1.0, 2.0], np.array([1, 2])):
+            op = DiagonalOperator(source, tag, tag)
+            assert op.diag.dtype == np.float64 and not op.diag.flags.writeable
+            if isinstance(source, np.ndarray):
+                assert not np.shares_memory(op.diag, source)
+            source[0] = 9
+            assert np.array_equal(op.diag, [1.0, 2.0])
+
     def test_compose_leaves_its_stages_unchanged(self):
         rng = make_rng(59)
         tag = lp(2, 4)
@@ -295,11 +313,22 @@ class TestJson:
     def test_operator_to_json_row_major(self):
         op = DenseOperator(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), lp(1, 2), c0(3))
         data = operator_to_json(op)
-        assert data["matrix"][1] == [3.0, 4.0]
+        assert data["matrix"] is op.matrix
+        assert data["matrix"].tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         assert data["domain"] == {"kind": "lp", "p": "1", "dim": 2}
         assert data["codomain"] == {"kind": "c0", "dim": 3}
+
+    def test_transposed_matrix_is_written_row_major(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        m.flags.writeable = False
+        op = DenseOperator(m.T, lp(1, 3), c0(2))
+        leaf = operator_to_json(op)["matrix"]
+        assert leaf.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+        assert leaf.flags.c_contiguous and not leaf.flags.writeable
+        assert orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY) == b"[[1.0,3.0,5.0],[2.0,4.0,6.0]]"
 
     def test_diagonal_operator_to_json(self):
         op = DiagonalOperator([0.5, -2.0], linf(2), lp("3/2", 2))
         data = operator_to_json(op)
-        assert data["diagonal"] == [0.5, -2.0] and "matrix" not in data
+        assert "matrix" not in data and data["diagonal"] is op.diag
+        assert data["diagonal"].tolist() == [0.5, -2.0]
