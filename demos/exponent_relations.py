@@ -7,9 +7,9 @@ reciprocal 0); nothing in this demo touches floating point.
 from nuctrace import (
     INF,
     Exponent,
+    ParameterTriple,
     check_holder_chain,
     conjugate,
-    exponent_budget,
     r_from_s,
     reduce_to_p_ge_2,
     s_from_p,
@@ -20,7 +20,7 @@ print(f"{'p':>8} {'conj p':>8} {'reduced':>8} {'s':>6} {'r':>6}   1/r + 1/2 + 1/
 for text in ["1", "6/5", "4/3", "3/2", "2", "7/3", "3", "4", "7", "100", "inf"]:
     p = Exponent(text)
     p2 = reduce_to_p_ge_2(p)
-    triple = exponent_budget(p)
+    triple = ParameterTriple(p)
     chain = check_holder_chain([triple.r, Exponent(2), p2])
     print(
         f"{str(p):>8} {str(conjugate(p)):>8} {str(p2):>8} "

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import orjson
 
-from .exponents import Exponent
-from .factorization import build_pipeline, exponent_budget, pipeline_to_json
+from .exponents import ParameterTriple
+from .factorization import build_pipeline, pipeline_to_json
 from .harness import (
     config_from_json,
     run_factorization_suite,
@@ -103,7 +103,7 @@ def _load_rep(path: str):
 
 
 def _cmd_exponents(args) -> int:
-    triple = exponent_budget(Exponent(args.p))
+    triple = ParameterTriple(args.p)
     print(json.dumps(triple.as_dict()))
     return 0
 

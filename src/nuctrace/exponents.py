@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 
@@ -214,42 +214,26 @@ def check_holder_chain(exps) -> bool:
 
 @dataclass(frozen=True)
 class ParameterTriple:
-    """An exact ``(p, s, r)`` triple tied together by the curve identities.
+    """The exact reduced triple of ``p``, the one way to derive ``(p, s, r)``.
 
-    Construction fails unless ``s == s_from_p(p)`` and ``r == r_from_s(s)``
-    hold exactly.  In exact arithmetic ``1/r = 1/s - 1`` already gives
-    ``(1 - s) r = s`` for finite ``r`` and ``s = 1`` exactly when ``r = inf``.
+    ``ParameterTriple(p)`` stores ``p = reduce_to_p_ge_2(p)``,
+    ``s = s_from_p(p)`` and ``r = r_from_s(s)``, so the curve identities hold
+    by construction.  In exact arithmetic ``1/r = 1/s - 1`` gives
+    ``(1 - s) r = s`` for finite ``r``, and ``s = 1`` exactly when
+    ``r = inf``: this is what makes the ``mu^(1-s)`` diagonal r-summable
+    whenever ``mu^s`` is summable.
     """
 
     p: Exponent
-    s: OrderExponent
-    r: Exponent
+    s: OrderExponent = field(init=False)
+    r: Exponent = field(init=False)
 
     def __post_init__(self):
-        p, s, r = _coerce(self.p), OrderExponent(self.s), _coerce(self.r)
+        p = reduce_to_p_ge_2(self.p)
+        s = s_from_p(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        if s != s_from_p(p):
-            raise ValueError(f"1/s = 1 + |1/2 - 1/p| fails for p={p}, s={s}")
-        if r != r_from_s(s):
-            raise ValueError(f"1/r = 1/s - 1 fails for s={s}, r={r}")
-
-    @classmethod
-    def from_p(cls, p) -> "ParameterTriple":
-        """The reduced triple for ``p``: conjugate below 2, then solve for s, r.
-
-        The identity ``(1 - s) r = s`` encoded in the triple is what
-        guarantees the ``mu^(1-s)`` diagonal is r-summable whenever ``mu^s``
-        is summable.  ``nuctrace.factorization.exponent_budget`` is this
-        same function.
-        """
-        p2 = reduce_to_p_ge_2(p)
-        s = s_from_p(p2)
-        return cls(p2, s, r_from_s(s))
+        object.__setattr__(self, "r", r_from_s(s))
 
     def as_dict(self) -> dict:
         return {"p": str(self.p), "s": str(self.s), "r": str(self.r)}
-
-    def __str__(self) -> str:
-        return f"(p={self.p}, s={self.s}, r={self.r})"

@@ -53,7 +53,6 @@ __all__ = [
     "build_pipeline",
     "split_diagonal",
     "summing_certificates",
-    "exponent_budget",
     "pipeline_to_json",
 ]
 
@@ -108,9 +107,6 @@ class Pipeline:
             self.stage_b,
         ]
 
-    def composed(self) -> DenseOperator:
-        return compose(self.stages())
-
 
 def split_diagonal(mu, s) -> tuple[np.ndarray, np.ndarray]:
     """Even split of the diagonal ``mu^s`` into two ``mu^(s/2)`` factors.
@@ -139,7 +135,7 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     """
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
-    triple = ParameterTriple.from_p(rep.ambient.p)
+    triple = ParameterTriple(rep.ambient.p)
     if rep.order != triple.s:
         raise ValueError(
             f"representation order {rep.order} is off the curve value {triple.s}; "
@@ -175,7 +171,7 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         triple=triple,
         mu=mu,
         reconstruction_error=_distance(compose(stages).matrix, target),
-        target_norm=float(np.linalg.norm(target)),
+        target_norm=_frobenius(target),
     )
     _check_pipeline(pipe)
     return pipe
@@ -190,7 +186,18 @@ def _distance(product: np.ndarray, target: np.ndarray) -> float:
     for i in range(0, rows, _TILE):
         for j in range(0, cols, _TILE):
             product[i : i + _TILE, j : j + _TILE] -= target[i : i + _TILE, j : j + _TILE]
-    return float(np.linalg.norm(product))
+    return _frobenius(product)
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``|a|_F``; a plain norm that overflows is taken again with the peak
+    scaled out, so the reconstruction gate never compares two infinities."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if np.isinf(norm):
+        top = float(np.abs(a).max())
+        norm = top * float(np.linalg.norm(a / top))
+    return norm
 
 
 def _check_pipeline(pipe: Pipeline) -> None:
@@ -249,10 +256,6 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     if not check_holder_chain([c.exponent for c in certs]):
         raise RuntimeError("certificate exponents fail the exact chain identity")
     return certs
-
-
-# the public name of the reduction, kept for the CLI, demos and callers
-exponent_budget = ParameterTriple.from_p
 
 
 def pipeline_to_json(pipe: Pipeline) -> dict:

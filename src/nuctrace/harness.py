@@ -121,7 +121,8 @@ class ExperimentConfig:
     cases_per_level: int = 25
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Exponent(self.p))
+        # read as every lp tag reads it, so no suite starts on a p they reject
+        object.__setattr__(self, "p", lp(self.p, 1).p)
         object.__setattr__(self, "ladder", tuple(self.ladder))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick one of {FAMILIES}")
@@ -200,8 +201,6 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     the ambient norm and its conjugate; ``shared_functional_rotations`` builds
     pairs of terms sharing a functional and stirs them with seeded rotations.
     """
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"truncation level must lie in [1, {MAX_DIM}], got {n}")
     k_terms = min(config.decay.term_count, n)
     mu = _decay_weights(config, k_terms)
     ambient = lp(config.p, n)

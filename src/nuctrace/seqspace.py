@@ -58,6 +58,12 @@ MAX_DIM = 4096
 # row_norms works through its rows in blocks of this many bytes of float64
 _BLOCK_BYTES = 2**18
 
+# below this l2 norm a row's squares may have underflowed
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
+
+# the largest finite exponent an lp tag takes: its norms need float(p)
+_MAX_P = int(np.finfo(np.float64).max)
+
 _KINDS = ("lp", "c0", "linf")
 
 
@@ -77,6 +83,9 @@ class SpaceTag:
         if self.kind == "lp":
             if not isinstance(self.p, Exponent):
                 object.__setattr__(self, "p", Exponent(self.p))
+            if not self.p.is_inf and self.p.value > _MAX_P:
+                raise ValueError("a finite lp exponent must not exceed the largest double, "
+                                 "about 1.8e308; use inf")
         elif self.p is not None:
             raise ValueError(f"{self.kind} tags carry no exponent")
         dim = self.dim
@@ -182,7 +191,10 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     C-ordered float64 scratch whatever the dtype and layout of ``rows``
     (integers, a column block) and are worked on in place there, so each
     row is summed in the one-vector order and no ``(k, dim)`` temporary is
-    made.
+    made.  At p = 2 the squares of entries below about 1.5e-154 underflow,
+    so each row whose norm comes out below ``sqrt(tiny)`` is taken again,
+    with its peak scaled out as at every other finite p; every other row
+    keeps its bits.
     """
     rows = np.asarray(rows)
     k, dim = rows.shape
@@ -195,6 +207,14 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
         # converted to float64 before abs, so integer rows cannot overflow
         np.abs(rows[i : i + step], out=x, dtype=np.float64, casting="unsafe")
         out[i : i + x.shape[0]] = _block_norms(x, pf)
+    if pf == 2.0:
+        small = np.flatnonzero(out < _SQRT_TINY)
+        for i in range(0, small.size, step):
+            idx = small[i : i + step]
+            x = scratch[: idx.size]
+            np.abs(rows[idx], out=x, dtype=np.float64, casting="unsafe")
+            top = _scale_out_peak(x)
+            out[idx] = top * np.sqrt(np.vecdot(x, x))
     return out
 
 
@@ -207,11 +227,18 @@ def _block_norms(x: np.ndarray, pf: float | None) -> np.ndarray:
         return x.sum(axis=1)
     if pf == 2.0:
         return np.sqrt(np.vecdot(x, x))
-    top = x.max(axis=1, initial=0.0)
-    # zero rows divide by 1 instead of 0 and still come out as top * 0 = 0
-    x /= np.where(top == 0.0, 1.0, top)[:, None]
+    top = _scale_out_peak(x)
     np.power(x, pf, out=x)
     return top * np.power(x.sum(axis=1), 1.0 / pf)
+
+
+def _scale_out_peak(x: np.ndarray) -> np.ndarray:
+    """Divide each row of ``x`` by its largest entry, in place; return those
+    peaks.  Zero rows divide by 1 instead of 0 and still come out as
+    ``top * 0 = 0``."""
+    top = x.max(axis=1, initial=0.0)
+    x /= np.where(top == 0.0, 1.0, top)[:, None]
+    return top
 
 
 def lp_norm(x: np.ndarray, tag: SpaceTag) -> float:

@@ -62,7 +62,7 @@ def test_criterion_1_exponent_table_exact():
     }
     for p_text, (s_expected, r_expected) in table.items():
         p = nt.Exponent(p_text)
-        triple = nt.exponent_budget(p)
+        triple = nt.ParameterTriple(p)
         assert triple.s.value == s_expected, f"s mismatch at p={p_text}"
         assert str(triple.r) == r_expected, f"r mismatch at p={p_text}"
         assert nt.check_holder_chain(
@@ -120,7 +120,7 @@ def test_criterion_4_pipeline_reconstruction():
             rep = random_rep(rng, p, dim, terms)
             pipe = nt.build_pipeline(rep)
             target = nt.assemble(rep).matrix
-            err = float(np.linalg.norm(pipe.composed().matrix - target))
+            err = float(np.linalg.norm(nt.compose(pipe.stages()).matrix - target))
             assert err <= 1e-10 * (1 + float(np.linalg.norm(target)))
             certs = nt.summing_certificates(pipe)
             assert nt.check_holder_chain([c.exponent for c in certs]) is True

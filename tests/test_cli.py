@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,9 @@ MALFORMED = {
     "rep_infinity_literal": ("spectrum", REP_TEXT.replace("[1.0, 0.0]", "[Infinity, 0.0]")),
     "rep_coordinate_1e400": ("spectrum", REP_TEXT.replace("[0.5, 0.0]", "[1e400, 0.0]")),
     "rep_utf8_bom": ("spectrum", "\ufeff" + REP_TEXT),
+    # an exact exponent, but one whose norms would need float(p)
+    "rep_p_past_double": ("spectrum", REP_TEXT.replace('"p": "2"', '"p": "1e400"')),
+    "config_p_past_double": ("suite", {**CONFIG, "p": "1e400"}),
 }
 
 
@@ -229,6 +233,22 @@ class TestMalformedJson:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_p_past_double_runs_nothing(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(MALFORMED["rep_p_past_double"][1])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, "p": "1e400", "out_dir": str(tmp_path / "out")}))
+        for argv in (["factorize", "--rep", str(rep), "--out", str(tmp_path / "pipe.json")],
+                     ["suite", "--config", str(config)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "largest double" in err and "0" * 100 not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "rep.json"]
+        # the triple itself stays exact
+        assert cli_main(["exponents", "--p", "1e400"]) == 0
+        triple = json.loads(capsys.readouterr().out)
+        assert triple["p"] == "1" + "0" * 400 and triple["r"] == str(F(2 * 10**400, 10**400 - 2))
 
     @pytest.mark.parametrize("name", sorted(n for n in MALFORMED if n.endswith("_huge_literal")))
     def test_huge_literal_is_rejected_at_once(self, name, tmp_path, capsys):

@@ -171,10 +171,10 @@ class TestCurveProperties:
 
 
 class TestParameterTriple:
-    def test_from_p_reduces_and_solves(self):
-        t = ParameterTriple.from_p(Exponent(1))
+    def test_reduces_and_solves(self):
+        t = ParameterTriple(Exponent(1))
         assert (str(t.p), str(t.s), str(t.r)) == ("inf", "2/3", "2")
-        t = ParameterTriple.from_p(Exponent(2))
+        t = ParameterTriple(Exponent(2))
         assert (str(t.p), str(t.s), str(t.r)) == ("2", "1", "inf")
 
     def test_rejects_off_curve_triples(self):
@@ -186,23 +186,20 @@ class TestParameterTriple:
                 return False
             return s.value == 1 if r.is_inf else (1 - s.value) * r.value == s.value
 
-        accepted = 0
-        for p in (1, F(4, 3), F(3, 2), 2, 3, 4, "inf"):
-            for s in (F(1, 2), F(2, 3), F(4, 5), F(6, 7), 1):
-                for r in (1, 2, 3, 4, 6, "inf"):
-                    triple = Exponent(p), OrderExponent(s), Exponent(r)
-                    if on_curve(*triple):
-                        assert ParameterTriple(*triple).s == s_from_p(p)
-                        accepted += 1
-                    else:
-                        with pytest.raises(ValueError, match="fails for"):
-                            ParameterTriple(*triple)
-        assert accepted == 7
+        for p in (1, F(4, 3), F(3, 2), 2, F(7, 3), 3, 4, "inf"):
+            t = ParameterTriple(p)
+            assert on_curve(t.p, t.s, t.r)
+            assert t.p == reduce_to_p_ge_2(p)
+            # the oracle is not blind: a triple off the curve reads False
+            assert not on_curve(t.p, OrderExponent(F(1, 2)), t.r)
+            # s and r are derived, never given
+            with pytest.raises(TypeError):
+                ParameterTriple(t.p, t.s, t.r)
 
-    def test_unreduced_p_is_still_a_valid_triple(self):
-        t = ParameterTriple(Exponent(F(4, 3)), OrderExponent(F(4, 5)), Exponent(4))
-        assert t.s == s_from_p(Exponent(F(4, 3)))
+    def test_p_below_2_is_reduced(self):
+        t = ParameterTriple(F(4, 3))
+        assert t.p == 4 and t.s == s_from_p(Exponent(F(4, 3)))
 
     def test_as_dict_uses_shared_grammar(self):
-        t = ParameterTriple.from_p(INF)
+        t = ParameterTriple(INF)
         assert t.as_dict() == {"p": "inf", "s": "2/3", "r": "2"}

@@ -2,19 +2,21 @@ import numpy as np
 import orjson
 import pytest
 
+import nuctrace.factorization as factorization
 from nuctrace import (
     INF,
     DecayProfile,
+    DenseOperator,
     ExperimentConfig,
     Exponent,
     NuclearRep,
     OrderExponent,
+    ParameterTriple,
     adjoint_rep,
     assemble,
     build_pipeline,
     check_holder_chain,
     compose,
-    exponent_budget,
     generate_family,
     lp,
     pipeline_to_json,
@@ -88,7 +90,7 @@ class TestBuildPipeline:
         assert np.array_equal(pipe.stage_d1ms.matrix, np.eye(2))
         assert np.allclose(np.diag(pipe.stage_d1.matrix), [1.0, 0.5], rtol=1e-14)
         assert np.allclose(np.diag(pipe.stage_d2.matrix), [1.0, 0.5], rtol=1e-14)
-        assert np.allclose(pipe.composed().matrix, np.diag([1.0, 0.25]), rtol=1e-14)
+        assert np.allclose(compose(pipe.stages()).matrix, np.diag([1.0, 0.25]), rtol=1e-14)
         assert str(pipe.triple.r) == "inf"
 
     def test_sup_space_uses_cube_root_decay(self):
@@ -103,7 +105,7 @@ class TestBuildPipeline:
         rep = random_rep(rng, 4, 16, 6)
         pipe = build_pipeline(rep)
         target = assemble(rep).matrix
-        err = np.linalg.norm(pipe.composed().matrix - target)
+        err = np.linalg.norm(compose(pipe.stages()).matrix - target)
         assert err <= 1e-10 * (1 + np.linalg.norm(target))
 
     def test_stages_a_and_b_share_the_reps_rows(self):
@@ -133,7 +135,7 @@ class TestBuildPipeline:
         assert pipe.triple == adj.triple
         tags = [(st.domain, st.codomain) for st in pipe.stages()]
         assert tags == [(st.domain, st.codomain) for st in adj.stages()]
-        got, want = pipe.composed().matrix, adj.composed().matrix
+        got, want = compose(pipe.stages()).matrix, compose(adj.stages()).matrix
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("p", [1, "4/3", "3/2", 2, 3, np.inf])
@@ -147,6 +149,32 @@ class TestBuildPipeline:
             target = target.T
         fresh = compose(pipe.stages()).matrix - target
         assert pipe.reconstruction_error == float(np.linalg.norm(fresh))
+
+    @staticmethod
+    def heavy_rep():
+        # |target|_F is about 5e202, so its sum of squares overflows a double
+        rng = make_rng(31)
+        n = 64
+        return NuclearRep(lp(3, n), np.full(n, 1e200), rng.standard_normal((n, n)),
+                          rng.standard_normal((n, n)))
+
+    def test_norms_past_the_double_range_stay_finite(self):
+        pipe = build_pipeline(self.heavy_rep())
+        assert 1e202 < pipe.target_norm < 1e203
+        assert 0.0 < pipe.reconstruction_error < 1e-13 * pipe.target_norm
+
+    def test_reconstruction_gate_checks_norms_past_the_double_range(self, monkeypatch):
+        # a target off by 1e-6 relative must fail the gate even where the
+        # plain Frobenius norms of target and difference are both inf
+        real = factorization.assemble
+
+        def off(rep):
+            op = real(rep)
+            return DenseOperator(op.matrix * (1 + 1e-6), op.domain, op.codomain)
+
+        monkeypatch.setattr(factorization, "assemble", off)
+        with pytest.raises(RuntimeError, match="does not reconstruct"):
+            build_pipeline(self.heavy_rep())
 
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
@@ -342,17 +370,17 @@ class TestCertificates:
             assert check_holder_chain([c.exponent for c in certs])
 
 
-class TestExponentBudget:
+class TestPipelineTriple:
     def test_endpoint_triples(self):
-        assert exponent_budget(Exponent(2)).as_dict() == {"p": "2", "s": "1", "r": "inf"}
-        assert exponent_budget(INF).as_dict() == {"p": "inf", "s": "2/3", "r": "2"}
+        assert ParameterTriple(Exponent(2)).as_dict() == {"p": "2", "s": "1", "r": "inf"}
+        assert ParameterTriple(INF).as_dict() == {"p": "inf", "s": "2/3", "r": "2"}
 
     def test_interior_triple(self):
-        assert exponent_budget(Exponent(3)).as_dict() == {"p": "3", "s": "6/7", "r": "6"}
+        assert ParameterTriple(Exponent(3)).as_dict() == {"p": "3", "s": "6/7", "r": "6"}
 
     def test_reduces_first(self):
-        assert exponent_budget(Exponent(1)).as_dict() == {"p": "inf", "s": "2/3", "r": "2"}
-        assert exponent_budget(Exponent("4/3")).as_dict() == {"p": "4", "s": "4/5", "r": "4"}
+        assert ParameterTriple(Exponent(1)).as_dict() == {"p": "inf", "s": "2/3", "r": "2"}
+        assert ParameterTriple(Exponent("4/3")).as_dict() == {"p": "4", "s": "4/5", "r": "4"}
 
 
 class TestTailSummability:
@@ -362,7 +390,7 @@ class TestTailSummability:
         # the decay diagonal in l_r and both split halves in l_2 have
         # squared/r-th powers summing to sum k^-(1+delta) <= 1 + 1/delta
         delta = 0.1
-        budget = exponent_budget(Exponent(p) if p is not np.inf else INF)
+        budget = ParameterTriple(Exponent(p) if p is not np.inf else INF)
         s = float(budget.s)
         levels = [16, 32, 64, 128, 256]
         r = budget.r

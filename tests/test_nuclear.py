@@ -44,6 +44,13 @@ class TestConstruction:
         rep = NuclearRep(lp(2, 2), [1e-301, 1.0], np.eye(2), np.eye(2))
         assert len(rep) == 1
 
+    def test_term_whose_squares_underflow_is_kept(self):
+        # 1e-200 squares to 0.0, which made the l2 norm 0 and dropped the term
+        for p in (2, 3):
+            rep = NuclearRep(lp(p, 2), [1e250], [[1e-200, 0.0]], [[1.0, 0.0]])
+            assert len(rep) == 1
+            assert nuclear_trace(rep) == pytest.approx(1e50, rel=1e-15)
+
     def test_negative_or_nonfinite_mu_rejected(self):
         with pytest.raises(ValueError):
             NuclearRep(lp(2, 2), [-1.0], [[1, 0]], [[1, 0]])

@@ -24,6 +24,7 @@ from nuctrace import (
     adjoint_rep,
     assemble,
     build_pipeline,
+    compose,
     conjugate_tag,
     eigen_spectrum,
     generate_family,
@@ -728,7 +729,7 @@ def ref_pipeline_chain(rep):
     """The dense chain: A the functionals and B the transposed vectors (the
     two trading places below p = 2), each diagonal stage a k x k ``np.diag``
     (the identity ``np.eye``), the product of all six stages formed by matmul."""
-    triple = ParameterTriple.from_p(rep.ambient.p)
+    triple = ParameterTriple(rep.ambient.p)
     rows_a, rows_b = rep.functionals, rep.vectors
     if rep.ambient.p < 2:
         rows_a, rows_b = rows_b, rows_a
@@ -756,7 +757,7 @@ def test_pipeline_matches_dense_chain(p, family):
         rep = generate_family(config, n)
         pipe = build_pipeline(rep)
         ref = ref_pipeline_chain(rep)
-        assert np.array_equal(pipe.composed().matrix, ref)
+        assert np.array_equal(compose(pipe.stages()).matrix, ref)
         target = assemble(rep).matrix
         if rep.ambient.p < 2:
             target = target.T

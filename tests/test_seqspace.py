@@ -23,7 +23,8 @@ from conftest import make_rng, traced_peak
 
 def one_row_norm(row, tag):
     """Norm of one row taken on that row alone: the arithmetic ``row_norms``
-    gives every row (peak scaled out for finite p, ``np.dot`` at p = 2)."""
+    gives every row (peak scaled out for finite p, ``np.dot`` at p = 2, and
+    the peak scaled out there too where the squares may have underflowed)."""
     x = np.abs(np.asarray(row, dtype=np.float64))
     if tag.kind != "lp" or tag.p.is_inf:
         return x.max(initial=0.0)
@@ -31,7 +32,12 @@ def one_row_norm(row, tag):
     if pf == 1.0:
         return x.sum()
     if pf == 2.0:
-        return np.sqrt(np.dot(x, x))
+        norm = np.sqrt(np.dot(x, x))
+        if norm >= np.sqrt(np.finfo(np.float64).tiny):
+            return norm
+        top = x.max(initial=0.0)
+        x /= top if top != 0.0 else 1.0
+        return top * np.sqrt(np.dot(x, x))
     top = x.max(initial=0.0)
     x /= top if top != 0.0 else 1.0
     np.power(x, pf, out=x)
@@ -89,6 +95,14 @@ class TestTags:
         assert conjugate_tag(c0(4)) == lp(1, 4)
         assert conjugate_tag(linf(4)) == lp(1, 4)
 
+    def test_finite_p_past_the_largest_double_is_rejected(self):
+        # exact as an Exponent, but its norms would need float(p)
+        assert lp(int(np.finfo(np.float64).max), 2).p == int(np.finfo(np.float64).max)
+        for p in ("1e400", "1e1000", int(np.finfo(np.float64).max) + 1):
+            with pytest.raises(ValueError, match="largest double") as err:
+                lp(p, 2)
+            assert len(str(err.value)) < 100
+
 
 
 class TestNorms:
@@ -116,6 +130,7 @@ class TestNorms:
         rng = make_rng(58, dim)
         pool = rng.standard_normal((37, dim)) * 10.0 ** rng.uniform(-8, 8, size=(37, 1))
         pool[1] = 0.0
+        pool[3] *= 1e-170 / np.abs(pool[3]).max()  # its squares underflow at p = 2
         ints = np.rint(pool * 1000).astype(np.int64)
         ints[2, ::2], ints[2, 1::2] = 2**62, -(2**62)
         for tag in all_tags(dim):
@@ -166,6 +181,21 @@ class TestNorms:
     def test_l2_row_norms_equal_per_row_dot_at_large_dims(self, dim, layout):
         rows = laid_out(make_rng(57, dim).standard_normal((7, dim)), layout)
         assert np.array_equal(row_norms(rows, lp(2, dim)), per_row_dot_norms(rows))
+
+    def test_l2_rows_whose_squares_underflow(self):
+        # entries below about 1.5e-154 square to zero or a subnormal; those
+        # rows are taken again with the peak scaled out, the others keep
+        # their per-row dot bits
+        rows = make_rng(60).standard_normal((6, 5))
+        rows[1] = [1e-200, 0.0, 0.0, 0.0, 0.0]
+        rows[3] = [3e-160, -4e-160, 0.0, 0.0, 0.0]
+        rows[4] = 0.0
+        got = row_norms(rows, lp(2, 5))
+        assert got[1] == 1e-200 and got[4] == 0.0
+        assert got[3] == pytest.approx(5e-160, rel=1e-15)
+        normal = [0, 2, 5]
+        assert np.array_equal(got[normal], per_row_dot_norms(rows[normal]))
+        assert lp_norm(rows[1], lp(2, 5)) == 1e-200
 
     def test_row_norms_of_no_rows(self):
         for tag in (lp(1, 3), lp(2, 3), lp("7/3", 3), lp(np.inf, 3)):
