@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import (
-    Exponent,
-    OrderExponent,
-    ParameterTriple,
-    check_holder_chain,
-)
+from .exponents import Exponent, ParameterTriple, check_holder_chain
 from .nuclear import NuclearRep, assemble
 from .seqspace import (
     DenseOperator,
@@ -51,7 +46,6 @@ __all__ = [
     "Pipeline",
     "SummingCertificate",
     "build_pipeline",
-    "split_diagonal",
     "summing_certificates",
     "pipeline_to_json",
 ]
@@ -61,6 +55,9 @@ RECONSTRUCTION_BUDGET = 1e-10
 
 # side of the square tiles in which build_pipeline subtracts the target
 _TILE = 128
+
+# the JSON name of each stage, in the order of Pipeline.stages()
+_STAGE_NAMES = ("A", "D_one_minus_s", "J", "D1", "D2", "B")
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,6 @@ class Pipeline:
         ]
 
 
-def split_diagonal(mu, s) -> tuple[np.ndarray, np.ndarray]:
-    """Even split of the diagonal ``mu^s`` into two ``mu^(s/2)`` factors.
-
-    Both halves have squared l2 norm ``sum mu^s``, so they live in the
-    Hilbert space exactly when the s-powers are summable.  Among uneven
-    splits ``(mu^(a s), mu^((1-a) s))`` the even one minimizes the larger
-    of the two l2 bounds.
-    """
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    if mu.size == 0 or np.any(mu <= 0) or not np.all(np.isfinite(mu)):
-        raise ValueError("diagonal entries must be strictly positive and finite")
-    s = OrderExponent(s)
-    half = np.power(mu, float(s) / 2.0)
-    half.flags.writeable = False
-    return half, half
-
-
 def build_pipeline(rep: NuclearRep) -> Pipeline:
     """Factor ``rep`` through the diagonal chain at its reduced triple.
 
@@ -145,16 +125,19 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     k = len(rep)
     s = float(triple.s)
     target = assemble(rep).matrix
-    tag_y, rows_a, rows_b = rep.ambient, rep.functionals, rep.vectors
-    if rep.ambient.p < 2:
-        tag_y, rows_a, rows_b, target = rep.conjugate, rows_b, rows_a, target.T
+    rows_a, rows_b = rep.functionals, rep.vectors
+    tag_y = lp(triple.p, rep.ambient.dim)
+    if tag_y != rep.ambient:
+        rows_a, rows_b, target = rows_b, rows_a, target.T
     tag_inf = linf(k)
     tag_r = lp(triple.r, k)
     tag_c0 = c0(k)
     tag_2 = lp(2, k)
     tag_1 = lp(1, k)
 
-    d1, d2 = split_diagonal(mu, triple.s)
+    # the even split of mu^s: one frozen mu^(s/2) serves both D1 and D2
+    half = np.power(mu, s / 2.0)
+    half.flags.writeable = False
     d1ms = np.power(mu, 1.0 - s)
 
     # A and B are the rep's own read-only rows, shared rather than copied
@@ -162,8 +145,8 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         DenseOperator(rows_a, tag_y, tag_inf),
         DiagonalOperator(d1ms, tag_inf, tag_r),
         DiagonalOperator(np.ones(k), tag_r, tag_c0),
-        DiagonalOperator(d1, tag_c0, tag_2),
-        DiagonalOperator(d2, tag_2, tag_1),
+        DiagonalOperator(half, tag_c0, tag_2),
+        DiagonalOperator(half, tag_2, tag_1),
         DenseOperator(rows_b.T, tag_1, tag_y),
     )
     pipe = Pipeline(
@@ -273,12 +256,7 @@ def pipeline_to_json(pipe: Pipeline) -> dict:
         "triple": pipe.triple.as_dict(),
         "mu": pipe.mu,
         "stages": {
-            "A": operator_to_json(pipe.stage_a),
-            "D_one_minus_s": operator_to_json(pipe.stage_d1ms),
-            "J": operator_to_json(pipe.stage_j),
-            "D1": operator_to_json(pipe.stage_d1),
-            "D2": operator_to_json(pipe.stage_d2),
-            "B": operator_to_json(pipe.stage_b),
+            name: operator_to_json(op) for name, op in zip(_STAGE_NAMES, pipe.stages())
         },
         "certificates": [c.as_dict() for c in summing_certificates(pipe)],
     }

@@ -28,6 +28,7 @@ so the library has a single norm path.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,10 +192,12 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     C-ordered float64 scratch whatever the dtype and layout of ``rows``
     (integers, a column block) and are worked on in place there, so each
     row is summed in the one-vector order and no ``(k, dim)`` temporary is
-    made.  At p = 2 the squares of entries below about 1.5e-154 underflow,
-    so each row whose norm comes out below ``sqrt(tiny)`` is taken again,
-    with its peak scaled out as at every other finite p; every other row
-    keeps its bits.
+    made.  At p = 2 the squares of entries below about 1.5e-154 underflow
+    and those above about 1.3e154 overflow, so each row whose norm comes
+    out below ``sqrt(tiny)`` or infinite is taken again, with its peak
+    scaled out as at every other finite p; every other row keeps its bits.
+    The first pass's overflow warning is held back, so a warning means the
+    norm itself overflows.
     """
     rows = np.asarray(rows)
     k, dim = rows.shape
@@ -202,15 +205,16 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     scratch = np.empty((min(step, k), dim))
     pf = None if tag.kind != "lp" or tag.p.is_inf else float(tag.p)
     out = np.empty(k)
-    for i in range(0, k, step):
-        x = scratch[: min(step, k - i)]
-        # converted to float64 before abs, so integer rows cannot overflow
-        np.abs(rows[i : i + step], out=x, dtype=np.float64, casting="unsafe")
-        out[i : i + x.shape[0]] = _block_norms(x, pf)
+    with np.errstate(over="ignore") if pf == 2.0 else nullcontext():
+        for i in range(0, k, step):
+            x = scratch[: min(step, k - i)]
+            # converted to float64 before abs, so integer rows cannot overflow
+            np.abs(rows[i : i + step], out=x, dtype=np.float64, casting="unsafe")
+            out[i : i + x.shape[0]] = _block_norms(x, pf)
     if pf == 2.0:
-        small = np.flatnonzero(out < _SQRT_TINY)
-        for i in range(0, small.size, step):
-            idx = small[i : i + step]
+        retake = np.flatnonzero((out < _SQRT_TINY) | (out == np.inf))
+        for i in range(0, retake.size, step):
+            idx = retake[i : i + step]
             x = scratch[: idx.size]
             np.abs(rows[idx], out=x, dtype=np.float64, casting="unsafe")
             top = _scale_out_peak(x)

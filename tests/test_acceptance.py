@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import nuctrace as nt
 

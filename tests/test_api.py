@@ -109,7 +109,8 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
-SOURCES = sorted((ROOT / "src" / "nuctrace").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SOURCES = [path for folder in ("src/nuctrace", "demos", "tests")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])

@@ -99,7 +99,7 @@ class TestSpectrumCommand:
         assert cli_main(["spectrum", "--rep", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
-        "functional", [[float("nan"), 0.0, 0.0], [1e308, 1e308, 1e308]], ids=["nan", "1e308"]
+        "functional", [[float("nan"), 0.0, 0.0], [1.7e308] * 3], ids=["nan", "1.7e308"]
     )
     def test_nonfinite_or_overflowing_rep_is_usage_error(self, functional, tmp_path, capsys):
         src = tmp_path / "bad.json"

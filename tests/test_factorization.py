@@ -22,7 +22,6 @@ from nuctrace import (
     pipeline_to_json,
     rewrite_equivalent,
     run_factorization_suite,
-    split_diagonal,
     summing_certificates,
 )
 from nuctrace.nuclear import rotate_pair
@@ -41,45 +40,20 @@ def diagonal_rep(mu, p):
     return NuclearRep(lp(p, len(mu)), mu, eye, eye)
 
 
-class TestSplitDiagonal:
-    def test_unit_at_s_1(self):
-        d1, d2 = split_diagonal([1.0], OrderExponent(1))
-        assert np.array_equal(d1, [1.0]) and np.array_equal(d2, [1.0])
+class TestEvenSplit:
+    @pytest.mark.parametrize("p", ["4/3", 2, 3, np.inf])
+    def test_halves_are_one_frozen_copy_of_mu_to_the_s_half(self, p):
+        rep = diagonal_rep(make_rng(21).uniform(1e-6, 5.0, size=32), p)
+        pipe = build_pipeline(rep)
+        half = pipe.stage_d1.diag
+        assert half is pipe.stage_d2.diag and not half.flags.writeable
+        assert not np.shares_memory(half, rep.mu)
+        assert np.array_equal(half, np.power(rep.mu, float(pipe.triple.s) / 2))
 
-    def test_eighth_at_s_two_thirds(self):
-        # (1/8)^(s/2) = (1/8)^(1/3) = 1/2; product (1/4) = (1/8)^(2/3)
-        d1, d2 = split_diagonal([0.125], OrderExponent("2/3"))
-        assert d1[0] == pytest.approx(0.5, rel=1e-14)
-        assert (d1 * d2)[0] == pytest.approx(0.25, rel=1e-14)
-
-    def test_four_one_at_s_half(self):
-        d1, d2 = split_diagonal([4.0, 1.0], OrderExponent("1/2"))
-        assert np.allclose(d1, [np.sqrt(2), 1.0], rtol=1e-14)
-        assert np.allclose(d1 * d2, [2.0, 1.0], rtol=1e-14)
-
-    def test_elementwise_product_is_mu_to_the_s(self):
-        rng = make_rng(21)
-        mu = rng.uniform(1e-6, 5.0, size=32)
-        for s in ("1", "2/3", "4/5", "1/3"):
-            d1, d2 = split_diagonal(mu, OrderExponent(s))
-            assert np.allclose(d1 * d2, mu ** float(OrderExponent(s)), rtol=1e-14)
-            assert np.linalg.norm(d1) == pytest.approx(
-                np.sqrt((mu ** float(OrderExponent(s))).sum()), rel=1e-13
-            )
-
-    def test_halves_are_one_read_only_array(self):
-        mu = np.array([4.0, 1.0])
-        d1, d2 = split_diagonal(mu, OrderExponent("1/2"))
-        assert d1 is d2 and not d1.flags.writeable
-        assert not np.shares_memory(d1, mu)
-        pipe = build_pipeline(diagonal_rep([1.0, 0.5], p=3))
-        assert pipe.stage_d1.diag is pipe.stage_d2.diag
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            split_diagonal([1.0, 0.0], OrderExponent(1))
-        with pytest.raises(ValueError):
-            split_diagonal([-1.0], OrderExponent(1))
+    def test_eighth_at_p_inf(self):
+        # s = 2/3: (1/8)^(s/2) = (1/8)^(1/3) = 1/2
+        pipe = build_pipeline(diagonal_rep([0.125], np.inf))
+        assert pipe.stage_d1.diag[0] == pytest.approx(0.5, rel=1e-14)
 
 
 class TestBuildPipeline:
@@ -399,8 +373,7 @@ class TestTailSummability:
         r_norms, l2_norms = [], []
         for n in levels:
             mu = mu_full[:n]
-            d1, _ = split_diagonal(mu, budget.s)
-            l2_norms.append(float(np.linalg.norm(d1)))
+            l2_norms.append(float(np.linalg.norm(np.power(mu, s / 2))))
             decay = mu ** (1 - s)
             if r.is_inf:
                 r_norms.append(float(decay.max()))

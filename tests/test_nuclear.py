@@ -65,8 +65,8 @@ class TestConstruction:
                 NuclearRep(lp(np.inf, 2), [1.0], [[1, 0]], [[0.5, bad]])
 
     def test_overflowing_norms_and_weights_rejected(self):
-        huge = [1e308, 1e308]
-        # the l2 norm of finite coordinates overflows
+        huge = [1.7e308, 1.7e308]
+        # the l2 norm of finite coordinates overflows: about 2.4e308
         with pytest.raises(ValueError, match="norm overflows"):
             NuclearRep(lp(2, 2), [1.0], [huge], [[1, 0]])
         # finite norms whose product with the weight overflows
@@ -75,6 +75,12 @@ class TestConstruction:
         # every term finite, the weight sum is not
         with pytest.raises(ValueError, match="overflows"):
             NuclearRep(lp(2, 1), [1e308, 1e308], [[1.0]] * 2, [[1.0]] * 2)
+
+    def test_l2_norm_of_overflowing_squares_is_finite(self):
+        # the squares of 1e200 overflow, the l2 norm 1.41e200 does not
+        for p in (2, 3, np.inf):
+            rep = NuclearRep(lp(p, 2), [1e-250], [[1e200, 1e200]], [[1.0, 0.0]])
+            assert nuclear_trace(rep) == pytest.approx(1e-50, rel=1e-15)
 
     def test_arrays_and_nested_lists_build_the_same_rep(self):
         rng = make_rng(76)

@@ -33,7 +33,6 @@ from nuctrace import (
     rewrite_equivalent,
     row_norms,
     spectral_report,
-    split_diagonal,
 )
 from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights
@@ -733,12 +732,12 @@ def ref_pipeline_chain(rep):
     rows_a, rows_b = rep.functionals, rep.vectors
     if rep.ambient.p < 2:
         rows_a, rows_b = rows_b, rows_a
-    d1, d2 = split_diagonal(rep.mu, triple.s)
+    half = np.power(rep.mu, float(triple.s) / 2.0)
     stages = [
         np.diag(np.power(rep.mu, 1.0 - float(triple.s))),
         np.eye(len(rep)),
-        np.diag(d1),
-        np.diag(d2),
+        np.diag(half),
+        np.diag(half),
         rows_b.T,
     ]
     product = rows_a

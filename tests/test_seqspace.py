@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import orjson
 import pytest
@@ -24,7 +26,8 @@ from conftest import make_rng, traced_peak
 def one_row_norm(row, tag):
     """Norm of one row taken on that row alone: the arithmetic ``row_norms``
     gives every row (peak scaled out for finite p, ``np.dot`` at p = 2, and
-    the peak scaled out there too where the squares may have underflowed)."""
+    the peak scaled out there too where the squares may have underflowed or
+    overflowed)."""
     x = np.abs(np.asarray(row, dtype=np.float64))
     if tag.kind != "lp" or tag.p.is_inf:
         return x.max(initial=0.0)
@@ -32,8 +35,9 @@ def one_row_norm(row, tag):
     if pf == 1.0:
         return x.sum()
     if pf == 2.0:
-        norm = np.sqrt(np.dot(x, x))
-        if norm >= np.sqrt(np.finfo(np.float64).tiny):
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.dot(x, x))
+        if np.sqrt(np.finfo(np.float64).tiny) <= norm < np.inf:
             return norm
         top = x.max(initial=0.0)
         x /= top if top != 0.0 else 1.0
@@ -125,7 +129,8 @@ class TestNorms:
     def test_row_norms_across_block_boundaries(self, dim):
         # rows per block of row_norms; k runs to either side of one block and
         # past three.  The rows cycle through a pool of 37 (prime to every
-        # block length here), so each row's reference is taken once.
+        # block length here), so each row's reference is taken once.  No
+        # call warns: every norm here is finite.
         b = max(1, 2**18 // (8 * dim))
         rng = make_rng(58, dim)
         pool = rng.standard_normal((37, dim)) * 10.0 ** rng.uniform(-8, 8, size=(37, 1))
@@ -133,16 +138,19 @@ class TestNorms:
         pool[3] *= 1e-170 / np.abs(pool[3]).max()  # its squares underflow at p = 2
         ints = np.rint(pool * 1000).astype(np.int64)
         ints[2, ::2], ints[2, 1::2] = 2**62, -(2**62)
+        pool[4] *= 1e200 / np.abs(pool[4]).max()  # its squares overflow at p = 2
         for tag in all_tags(dim):
             for data in (pool, ints):
                 ref = np.array([one_row_norm(r, tag) for r in data])
-                assert np.array_equal([lp_norm(r, tag) for r in data], ref)
-                for k in (b - 1, b, b + 1, 3 * b + 5):
-                    idx = np.arange(k) % len(data)
-                    rows = data[idx]
-                    for laid in (rows, np.asfortranarray(rows),
-                                 np.repeat(rows, 2, axis=1)[:, ::2]):
-                        assert np.array_equal(row_norms(laid, tag), ref[idx])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.array_equal([lp_norm(r, tag) for r in data], ref)
+                    for k in (b - 1, b, b + 1, 3 * b + 5):
+                        idx = np.arange(k) % len(data)
+                        rows = data[idx]
+                        for laid in (rows, np.asfortranarray(rows),
+                                     np.repeat(rows, 2, axis=1)[:, ::2]):
+                            assert np.array_equal(row_norms(laid, tag), ref[idx])
 
     def test_row_norms_memory_does_not_grow_with_rows(self):
         # one scratch block, 0.03-0.04 n^2 doubles; a full abs copy was 1.00
