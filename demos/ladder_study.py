@@ -17,7 +17,6 @@ from nuctrace import (
     INF,
     generate_family,
     ladder_csv,
-    s_from_p,
     summability_ladder,
 )
 
@@ -33,7 +32,7 @@ def study(p, family):
         seed=20260808,
         out_dir=".",
     )
-    rows = summability_ladder(lambda n: generate_family(cfg, n), LADDER, s_from_p(p))
+    rows = summability_ladder(lambda n: generate_family(cfg, n), LADDER)
     print(f"{family} family on lp({p}):")
     print(f"  {'N':>4} {'S_N':>12} {'gap':>12} {'tail frac':>10} {'residual':>10}")
     prev = None

@@ -116,11 +116,6 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
     triple = ParameterTriple(rep.ambient.p)
-    if rep.order != triple.s:
-        raise ValueError(
-            f"representation order {rep.order} is off the curve value {triple.s}; "
-            "the pipeline factors at the curve order only"
-        )
     mu = rep.mu
     k = len(rep)
     s = float(triple.s)

@@ -393,9 +393,7 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
     if len(config.ladder) < 3:
         raise ValueError("ladder suite needs at least three levels")
 
-    rows = summability_ladder(
-        lambda n: generate_family(config, n), config.ladder, s_from_p(config.p)
-    )
+    rows = summability_ladder(lambda n: generate_family(config, n), config.ladder)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "ladder.csv").write_text(ladder_csv(rows))

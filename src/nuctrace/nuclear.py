@@ -75,9 +75,9 @@ class NuclearRep:
         Row ``k`` holds the coordinates of the k-th functional and vector
         (arrays or nested lists).  Row norms are absorbed into ``mu``; the
         inputs are not modified.
-    order : OrderExponent, optional
-        Defaults to the curve value ``s_from_p(ambient.p)``; override only
-        for experiments that scan the order away from the curve.
+
+    The order ``s`` is the curve value ``s_from_p(ambient.p)``, stored as
+    ``order``; ``quasi_norm_value`` takes any other order explicitly.
 
     Terms lighter than ``MU_FLOOR`` are dropped and the rest sorted by
     nonincreasing weight (stable).  Weights must be finite and nonnegative,
@@ -88,13 +88,12 @@ class NuclearRep:
 
     __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec")
 
-    def __init__(self, ambient: SpaceTag, mu, functionals, vectors,
-                 order: OrderExponent | None = None):
+    def __init__(self, ambient: SpaceTag, mu, functionals, vectors):
         if ambient.kind != "lp":
             raise ValueError(f"ambient space must be an lp tag, got {ambient}")
         self.ambient = ambient
         self.conjugate = conjugate_tag(ambient)
-        self.order = OrderExponent(order) if order is not None else s_from_p(ambient.p)
+        self.order = s_from_p(ambient.p)
 
         mu = np.asarray(mu, dtype=np.float64)
         if mu.ndim != 1:
@@ -232,7 +231,7 @@ def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     norm it now needs), the weights are untouched, the trace is identical,
     and the assembled matrix is the transpose of the original.
     """
-    return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals, order=rep.order)
+    return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals)
 
 
 def _generator(*entropy: int) -> np.random.Generator:
@@ -403,7 +402,12 @@ def rep_to_json(rep: NuclearRep) -> dict:
 
 def rep_from_json(data) -> NuclearRep:
     """The rep stored by :func:`rep_to_json`; malformed data raises a
-    one-line ``ValueError``."""
+    one-line ``ValueError``.
+
+    An ``order_s``, if present, must be the curve value of ``p``.  Weights
+    and coordinates must be JSON numbers: a string or a boolean is not read
+    as one.
+    """
     json_object(data, "representation", "ambient", "terms")
     space = json_object(data["ambient"], "representation ambient", "p", "dim")
     if not isinstance(data["terms"], list):
@@ -412,9 +416,18 @@ def rep_from_json(data) -> NuclearRep:
              for t in data["terms"]]
     try:
         ambient = lp(space["p"], space["dim"])
-        order = OrderExponent(data["order_s"]) if "order_s" in data else None
-        mu, fun, vec = (np.array([t[key] for t in terms], dtype=np.float64)
-                        for key in ("mu", "functional", "vector"))
+        s = s_from_p(ambient.p)
+        if "order_s" in data and (order := OrderExponent(data["order_s"])) != s:
+            raise ValueError(f"representation order_s {order} is off the curve: p = {ambient.p} "
+                             f"has order {s}")
+        mu, fun, vec = ([t[key] for t in terms] for key in ("mu", "functional", "vector"))
+        # type, not isinstance, since a bool is an int
+        found = set(map(type, mu)).union(*(map(type, row) for row in fun + vec))
+        if not found <= {int, float}:
+            kind = min(t.__name__ for t in found - {int, float})
+            raise ValueError("representation weights and coordinates must be JSON numbers, "
+                             f"got a {kind}")
+        mu, fun, vec = (np.array(x, dtype=np.float64) for x in (mu, fun, vec))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed representation: {exc}") from exc
-    return NuclearRep(ambient, mu, fun, vec, order=order)
+    return NuclearRep(ambient, mu, fun, vec)

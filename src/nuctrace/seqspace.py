@@ -238,10 +238,10 @@ def _block_norms(x: np.ndarray, pf: float | None) -> np.ndarray:
 
 def _scale_out_peak(x: np.ndarray) -> np.ndarray:
     """Divide each row of ``x`` by its largest entry, in place; return those
-    peaks.  Zero rows divide by 1 instead of 0 and still come out as
-    ``top * 0 = 0``."""
+    peaks.  Rows of peak 0 or ``inf`` divide by 1 instead, so their norms
+    still come out as 0 and ``inf``."""
     top = x.max(axis=1, initial=0.0)
-    x /= np.where(top == 0.0, 1.0, top)[:, None]
+    x /= np.where((top == 0.0) | (top == np.inf), 1.0, top)[:, None]
     return top
 
 

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exponents import OrderExponent
 from .nuclear import NuclearRep, assemble, nuclear_trace
 from .seqspace import DenseOperator, lp
 
@@ -178,13 +177,11 @@ class LadderRow:
 def summability_ladder(
     family: Callable[[int], NuclearRep],
     levels: Sequence[int],
-    s: OrderExponent,
 ) -> list[LadderRow]:
     """Spectral summability diagnostics along a truncation ladder.
 
     ``family`` maps a truncation level to a representation (it must be
-    deterministic for reproducible tables) of order ``s``; a rep of another
-    order raises ``ValueError``.  Each row reports the modulus
+    deterministic for reproducible tables).  Each row reports the modulus
     sum ``S_N``, the fraction of it carried by eigenvalues ranked beyond
     ``N/4`` (a fixed-quantile tail statistic: summability is observable as
     a shrinking tail without asserting any rate), and the trace residual.
@@ -193,15 +190,9 @@ def summability_ladder(
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("ladder levels must be strictly increasing")
-    s = OrderExponent(s)
     rows = []
     for level in levels:
-        rep = family(level)
-        if rep.order != s:
-            raise ValueError(
-                f"family produced order {rep.order} at level {level}, expected {s}"
-            )
-        report = spectral_report(rep)
+        report = spectral_report(family(level))
         cutoff = level // 4
         mods = np.abs(report.eigenvalues)  # already sorted nonincreasing
         tail = float(mods[cutoff:].sum())

@@ -164,9 +164,7 @@ def test_criterion_6_summability_ladder(tmp_path):
         ("ladder_diagonal_pinf.json", False),
     ):
         cfg = load(name)
-        rows = nt.summability_ladder(
-            lambda n: nt.generate_family(cfg, n), cfg.ladder, nt.s_from_p(cfg.p)
-        )
+        rows = nt.summability_ladder(lambda n: nt.generate_family(cfg, n), cfg.ladder)
         assert [r.level for r in rows] == [64, 128, 256, 512]
         if check_closed_form:
             for row in rows:
@@ -177,9 +175,7 @@ def test_criterion_6_summability_ladder(tmp_path):
 
     # rotation family at p = inf: frozen tail thresholds
     cfg = load("ladder_rotations_pinf.json")
-    rows = nt.summability_ladder(
-        lambda n: nt.generate_family(cfg, n), cfg.ladder, nt.s_from_p(cfg.p)
-    )
+    rows = nt.summability_ladder(lambda n: nt.generate_family(cfg, n), cfg.ladder)
     for row in rows:
         assert row.tail_fraction < ROTATION_TAIL_THRESHOLDS[row.level], row.level
 

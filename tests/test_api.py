@@ -1,7 +1,8 @@
 """Every name the package and its modules export resolves, the package
 declares each of them once, the README library map names each of them, each
 of them has a caller outside the tests, no module imports a name it leaves
-unused, and every entry point the benchmark tracer patches exists."""
+unused, every entry point the benchmark tracer patches exists, and the
+README's rep example loads."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import orjson
 import pytest
 
 import nuctrace
@@ -125,3 +127,15 @@ def test_every_traced_entry_point_exists():
     spec.loader.exec_module(tracer)
     missing = [name for name, owner, attr, _ in tracer._targets(nuctrace) if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_readme_rep_example_loads():
+    """The rep file shown under "Representations travel as JSON" keeps to
+    the loader's rules (an order on the curve, numbers as JSON numbers)."""
+    text = (ROOT / "README.md").read_text()
+    after = text[text.index("Representations travel as JSON"):]
+    block = re.search(r"```json\n(.*?)```", after, re.S).group(1)
+    rep = nuctrace.rep_from_json(orjson.loads(block))
+    report = nuctrace.spectral_report(rep)
+    assert report.matrix_trace == nuctrace.nuclear_trace(rep) == 1.0
+    assert report.lidskii_residual == 0.0

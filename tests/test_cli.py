@@ -157,6 +157,18 @@ MALFORMED = {
         "spectrum",
         {"ambient": {"p": "2", "dim": 2}, "order_s": True, "terms": []},
     ),
+    # an order must be the curve value of p (here 1), not a free choice
+    "rep_order_off_curve": ("spectrum", REP_TEXT.replace('"terms"', '"order_s": "1/2", "terms"')),
+    # rep numbers given as strings or booleans are rejected, not converted
+    "rep_mu_string": ("spectrum", REP_TEXT.replace('"mu": 1.0', '"mu": "1.5"')),
+    "rep_functional_boolean": (
+        "spectrum",
+        REP_TEXT.replace('"functional": [1.0, 0.0]', '"functional": [true, 0.0]'),
+    ),
+    "rep_vector_numeric_string": (
+        "spectrum",
+        REP_TEXT.replace('"vector": [0.5, 0.0]', '"vector": ["1", 0]'),
+    ),
     # terms given as an object used to load as an empty rep
     "rep_terms_object": ("spectrum", {"ambient": {"p": "2", "dim": 2}, "terms": {}}),
     # integer fields given as a fraction, a string or a boolean are rejected, not truncated
@@ -233,6 +245,24 @@ class TestMalformedJson:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["rep_order_off_curve", "rep_mu_string", "rep_functional_boolean",
+         "rep_vector_numeric_string"],
+    )
+    def test_rejected_at_load_by_both_commands(self, name, tmp_path, capsys):
+        src = tmp_path / "rep.json"
+        data = MALFORMED[name][1]
+        src.write_text(data if isinstance(data, str) else json.dumps(data))
+        for argv in (["spectrum", "--rep", str(src)],
+                     ["factorize", "--rep", str(src), "--out", str(tmp_path / "pipe.json")]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "representation" in captured.err
+        assert not (tmp_path / "pipe.json").exists()
 
     def test_p_past_double_runs_nothing(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"

@@ -10,7 +10,6 @@ from nuctrace import (
     ExperimentConfig,
     Exponent,
     NuclearRep,
-    OrderExponent,
     ParameterTriple,
     adjoint_rep,
     assemble,
@@ -27,12 +26,6 @@ from nuctrace import (
 from nuctrace.nuclear import rotate_pair
 
 from conftest import make_rng, random_rep, traced_peak
-
-
-def e(i, n):
-    out = np.zeros(n)
-    out[i] = 1.0
-    return out
 
 
 def diagonal_rep(mu, p):
@@ -153,11 +146,6 @@ class TestBuildPipeline:
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
             build_pipeline(NuclearRep(lp(2, 3), [], [], []))
-
-    def test_rejects_off_curve_order(self):
-        rep = NuclearRep(lp(2, 2), [1.0], [e(0, 2)], [e(0, 2)], order=OrderExponent("1/2"))
-        with pytest.raises(ValueError, match="curve"):
-            build_pipeline(rep)
 
     def test_diagonal_consistency_invariant(self):
         rng = make_rng(23)

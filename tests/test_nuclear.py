@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from nuctrace import (
+    FAMILIES,
+    DecayProfile,
+    ExperimentConfig,
     NuclearRep,
     OrderExponent,
     SchemeNotApplicableError,
     adjoint_rep,
     assemble,
+    generate_family,
     lp,
     nuclear_trace,
     quasi_norm_value,
     rep_from_json,
     rep_to_json,
     rewrite_equivalent,
+    s_from_p,
 )
 
 from conftest import make_rng, random_rep
@@ -57,12 +62,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NuclearRep(lp(2, 2), [float("nan")], [[1, 0]], [[1, 0]])
 
-    def test_nonfinite_coordinates_rejected(self):
+    @pytest.mark.parametrize("p", ["1", "3/2", "2", "3", "inf"])
+    def test_nonfinite_coordinates_rejected(self, p):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="coordinates must be finite"):
-                NuclearRep(lp(2, 2), [1.0, 1.0], [[1, 0], [bad, 0.0]], [[1, 0], [1, 0]])
+                NuclearRep(lp(p, 2), [1.0, 1.0], [[1, 0], [bad, 0.0]], [[1, 0], [1, 0]])
             with pytest.raises(ValueError, match="coordinates must be finite"):
-                NuclearRep(lp(np.inf, 2), [1.0], [[1, 0]], [[0.5, bad]])
+                NuclearRep(lp(p, 2), [1.0], [[1, 0]], [[0.5, bad]])
 
     def test_overflowing_norms_and_weights_rejected(self):
         huge = [1.7e308, 1.7e308]
@@ -114,9 +120,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NuclearRep(c0(2), [1.0], [[1, 0]], [[1, 0]])
 
-    def test_order_defaults_to_curve(self):
+    def test_order_is_the_curve_value(self):
         assert diagonal_rep([1.0], p=2).order == OrderExponent(1)
         assert diagonal_rep([1.0], p=np.inf).order == OrderExponent("2/3")
+
+    def test_order_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            NuclearRep(lp(2, 2), [1.0], [e(0, 2)], [e(0, 2)], order=OrderExponent("1/2"))
 
 
 class TestQuasiNorm:
@@ -307,3 +317,44 @@ class TestJson:
         assert data["ambient"] == {"p": "2", "dim": 2}
         assert data["order_s"] == "1"
         assert {"mu", "functional", "vector"} == set(data["terms"][0])
+
+    @pytest.mark.parametrize("p", ["1", "3/2", "2", "3", "inf"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_roundtrip_keeps_the_curve_order(self, family, p):
+        config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, 6),
+                                  ladder=(8,), seed=3)
+        data = rep_to_json(rep_from_json(rep_to_json(generate_family(config, 8))))
+        assert data["order_s"] == str(s_from_p(p))
+
+    def test_order_off_the_curve_is_rejected(self):
+        data = rep_to_json(diagonal_rep([1.0, 0.5], p=2))
+        data["order_s"] = "1/2"
+        with pytest.raises(ValueError) as info:
+            rep_from_json(data)
+        assert "\n" not in str(info.value)
+        assert "1/2" in str(info.value) and "order 1" in str(info.value)
+        del data["order_s"]
+        assert rep_from_json(data).order == OrderExponent(1)
+
+    @pytest.mark.parametrize(
+        ("key", "value", "kind"),
+        [
+            ("mu", "1.5", "str"),
+            ("mu", True, "bool"),
+            ("functional", [True, 0.0], "bool"),
+            ("functional", ["1", 0], "str"),
+            ("vector", [0.5, "0"], "str"),
+            ("vector", [0.5, None], "NoneType"),
+            ("vector", [[0.5], 0.0], "list"),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, key, value, kind):
+        data = rep_to_json(diagonal_rep([1.0, 0.5], p=2))
+        data["terms"][1][key] = value
+        with pytest.raises(ValueError, match=f"must be JSON numbers, got a {kind}$"):
+            rep_from_json(data)
+
+    def test_integers_are_numbers(self):
+        data = rep_to_json(diagonal_rep([1.0, 0.5], p=2))
+        data["terms"][1] = {"mu": 2, "functional": [0, 1], "vector": [0, 1]}
+        assert rep_from_json(data).mu.tolist() == [2.0, 1.0]

@@ -40,10 +40,10 @@ def one_row_norm(row, tag):
         if np.sqrt(np.finfo(np.float64).tiny) <= norm < np.inf:
             return norm
         top = x.max(initial=0.0)
-        x /= top if top != 0.0 else 1.0
+        x /= top if 0.0 < top < np.inf else 1.0
         return top * np.sqrt(np.dot(x, x))
     top = x.max(initial=0.0)
-    x /= top if top != 0.0 else 1.0
+    x /= top if 0.0 < top < np.inf else 1.0
     np.power(x, pf, out=x)
     return top * np.power(x.sum(), 1.0 / pf)
 
@@ -204,6 +204,15 @@ class TestNorms:
         normal = [0, 2, 5]
         assert np.array_equal(got[normal], per_row_dot_norms(rows[normal]))
         assert lp_norm(rows[1], lp(2, 5)) == 1e-200
+
+    @pytest.mark.parametrize("p", ["1", "3/2", "2", "3", "inf"])
+    def test_infinite_row_norms_to_inf(self, p):
+        # an infinite peak divides by 1, as a zero peak does, not inf / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_norms(np.array([[np.inf, 1.0], [1.0, 2.0]]), lp(p, 2))
+        assert got.tolist() == [one_row_norm(row, lp(p, 2)) for row in ([np.inf, 1.0], [1.0, 2.0])]
+        assert got[0] == np.inf
 
     def test_row_norms_of_no_rows(self):
         for tag in (lp(1, 3), lp(2, 3), lp("7/3", 3), lp(np.inf, 3)):

@@ -6,7 +6,6 @@ import pytest
 from nuctrace import (
     DenseOperator,
     NuclearRep,
-    OrderExponent,
     assemble,
     eigen_spectrum,
     ladder_csv,
@@ -143,9 +142,7 @@ class TestLadder:
         levels = [32, 64, 128, 256]
         mu_full = np.arange(1, levels[-1] + 1, dtype=float) ** -1.1
 
-        rows = summability_ladder(
-            lambda n: diagonal_rep(mu_full[:n]), levels, OrderExponent(1)
-        )
+        rows = summability_ladder(lambda n: diagonal_rep(mu_full[:n]), levels)
         assert [r.level for r in rows] == levels
         for row in rows:
             oracle = math.fsum(k ** -1.1 for k in range(1, row.level + 1))
@@ -158,31 +155,23 @@ class TestLadder:
         # three equal weights at level 8: cutoff index 8 // 4 = 2, so the
         # tail keeps the third-ranked eigenvalue: fraction 1/3
         rep = diagonal_rep([0.5, 0.5, 0.5], p=2)
-        rows = summability_ladder(lambda n: rep, [8], OrderExponent(1))
+        rows = summability_ladder(lambda n: rep, [8])
         assert rows[0].tail_fraction == pytest.approx(1 / 3, rel=1e-12)
 
     def test_rows_in_ladder_order_and_residuals(self):
         rng = make_rng(34)
         reps = {n: random_rep(make_rng(34, n), 2, n, 8) for n in (32, 64)}
-        rows = summability_ladder(lambda n: reps[n], [32, 64], OrderExponent(1))
+        rows = summability_ladder(lambda n: reps[n], [32, 64])
         assert [r.level for r in rows] == [32, 64]
         for row in rows:
             assert row.residual <= 1e-9 * (1 + row.abs_sum)
 
     def test_rejects_non_increasing_ladder(self):
         with pytest.raises(ValueError):
-            summability_ladder(lambda n: diagonal_rep([1.0]), [32, 32], OrderExponent(1))
-
-    def test_order_gate(self):
-        with pytest.raises(ValueError, match="order"):
-            summability_ladder(
-                lambda n: diagonal_rep([1.0] * n, p=2), [2, 4], OrderExponent("2/3")
-            )
+            summability_ladder(lambda n: diagonal_rep([1.0]), [32, 32])
 
     def test_csv_format(self):
-        rows = summability_ladder(
-            lambda n: diagonal_rep([1.0, 0.5][:n]), [1, 2], OrderExponent(1)
-        )
+        rows = summability_ladder(lambda n: diagonal_rep([1.0, 0.5][:n]), [1, 2])
         text = ladder_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "level,abs_sum,tail_fraction,residual"
