@@ -31,6 +31,7 @@ from .exponents import Exponent, check_holder_chain, reduce_to_p_ge_2, s_from_p
 from .factorization import RECONSTRUCTION_BUDGET, build_pipeline, summing_certificates
 from .nuclear import (
     _REWRITE_SCHEMES,
+    MU_FLOOR,
     NuclearRep,
     SchemeNotApplicableError,
     _generator,
@@ -164,7 +165,7 @@ def config_from_json(data) -> ExperimentConfig:
         return {key: obj[key] for key in keys if key in obj}
 
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             p=Exponent(data["p"]),
             family=data["family"],
             decay=DecayProfile(decay["exponent_multiplier"], decay["term_count"]),
@@ -175,6 +176,12 @@ def config_from_json(data) -> ExperimentConfig:
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
+    if config.family == "diagonal":
+        gaps = _diagonal_gaps(config)
+        if not all(later < earlier for earlier, later in zip(gaps, gaps[1:])):
+            raise ValueError("config ladder: the gaps between the diagonal family's level sums "
+                             f"must strictly shrink, got [{', '.join(f'{g:.3g}' for g in gaps)}]")
+    return config
 
 
 # --- deterministic stream derivation ----------------------------------------
@@ -191,6 +198,22 @@ def _decay_weights(config: ExperimentConfig, k_terms: int) -> np.ndarray:
     s = s_from_p(config.p)
     power = float(s.reciprocal) * config.decay.exponent_multiplier
     return np.arange(1, k_terms + 1, dtype=np.float64) ** (-power)
+
+
+def _diagonal_gaps(config: ExperimentConfig) -> list[float]:
+    """The gaps between the level sums ``S_N`` that ``run_ladder_suite``
+    reads on the ``diagonal`` family.  Its spectrum at level ``N`` is
+    exactly the kept decay weights (those of at least ``MU_FLOOR``), padded
+    with zeros to ``N``, and is summed here in that order, as
+    ``spectral_report`` sums ``abs_sum``, so each gap is the suite's own."""
+    sums = []
+    for n in config.ladder:
+        mu = _decay_weights(config, min(config.decay.term_count, n))
+        spectrum = np.zeros(n)
+        kept = mu[mu >= MU_FLOOR]
+        spectrum[: kept.size] = kept
+        sums.append(float(spectrum.sum()))
+    return [b - a for a, b in zip(sums, sums[1:])]
 
 
 def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:

@@ -17,7 +17,9 @@ used to observe that the trace functional does not depend on which term
 list represents an operator.  A rewrite names its new terms by their rows
 in the parent rep (plus, for ``rotate``, the two rotated rows) and goes
 through the constructor's own checks, which gather each stored row once,
-straight from the parent's rows into its sorted position.
+straight from the parent's rows into its sorted position.  A rep marks the
+rows it stored undivided, whose norm is exactly 1.0, so a rewrite norms only
+its parent's other rows and the rows it makes.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class NuclearRep:
     before it can reach an eigensolver.
     """
 
-    __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec")
+    __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec", "_unit_fun",
+                 "_unit_vec")
 
     def __init__(self, ambient: SpaceTag, mu, functionals, vectors):
         if ambient.kind != "lp":
@@ -101,22 +104,31 @@ class NuclearRep:
         k = mu.shape[0]
         fun = _rows(functionals, k, self.conjugate)
         vec = _rows(vectors, k, ambient)
-        self._store(mu, fun, vec, np.arange(k), fun[:0], vec[:0])
+        self._store(mu, fun, vec, np.arange(k))
 
-    def _store(self, mu, fun, vec, take, fresh_fun, fresh_vec):
+    def _store(self, mu, fun, vec, take, unit=None, fresh=None):
         """Check and store the terms of weights ``mu`` whose rows are
-        ``fun[take]`` followed by ``fresh_fun`` (and the same for ``vec``).
+        ``fun[take]`` followed by the fresh functionals (and the same for
+        ``vec``); ``fun`` and ``vec`` are only read.
 
-        Every row is normed here; ``fun`` and ``vec`` are only read.
+        ``unit`` is None for raw input, whose rows are all normed, or a
+        parent's pair of marks: its rows in ``fun`` and ``vec`` whose norm
+        is exactly 1.0, which are not normed again.  ``fresh`` holds the
+        fresh functionals, vectors and their two norms.  A stored row is
+        marked when it was stored undivided, so each row's norm is computed
+        once, from its own bits.
         """
+        unit_f, unit_v = unit or (None, None)
+        fresh_fun, fresh_vec, fresh_norm_f, fresh_norm_v = fresh or (
+            fun[:0], vec[:0], np.zeros(0), np.zeros(0))
         bad = ~(np.isfinite(mu) & (mu >= 0))
         if bad.any():
             raise ValueError(f"term weights must be finite and >= 0, got {mu[bad][0]}")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            norm_f = np.concatenate([row_norms(fun, self.conjugate)[take],
-                                     row_norms(fresh_fun, self.conjugate)])
-            norm_v = np.concatenate([row_norms(vec, self.ambient)[take],
-                                     row_norms(fresh_vec, self.ambient)])
+            norm_f = np.concatenate([_take_norms(fun, self.conjugate, take, unit_f),
+                                     fresh_norm_f])
+            norm_v = np.concatenate([_take_norms(vec, self.ambient, take, unit_v),
+                                     fresh_norm_v])
             scale = mu * norm_f * norm_v
             total = scale.sum()
         if not (np.isfinite(norm_f).all() and np.isfinite(norm_v).all()):
@@ -133,11 +145,13 @@ class NuclearRep:
         t = take.shape[0]
         src = np.concatenate([take, np.zeros(fresh_fun.shape[0], dtype=take.dtype)])[order_idx]
         at = np.flatnonzero(order_idx >= t)
-        fresh = order_idx[at] - t
+        nth = order_idx[at] - t
         self._mu = scale[order_idx]
-        self._fun = _unit_rows(fun, src, at, fresh_fun[fresh], norm_f[order_idx])
-        self._vec = _unit_rows(vec, src, at, fresh_vec[fresh], norm_v[order_idx])
-        for a in (self._mu, self._fun, self._vec):
+        norm_f, norm_v = norm_f[order_idx], norm_v[order_idx]
+        self._fun = _unit_rows(fun, src, at, fresh_fun[nth], norm_f)
+        self._vec = _unit_rows(vec, src, at, fresh_vec[nth], norm_v)
+        self._unit_fun, self._unit_vec = norm_f == 1.0, norm_v == 1.0
+        for a in (self._mu, self._fun, self._vec, self._unit_fun, self._unit_vec):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -170,6 +184,19 @@ def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
     if rows.shape != (k, tag.dim):
         raise ValueError(f"term coordinates of shape {rows.shape} do not match {k} rows in {tag}")
     return rows
+
+
+def _take_norms(rows: np.ndarray, tag: SpaceTag, take: np.ndarray,
+                unit: np.ndarray | None) -> np.ndarray:
+    """The norms of ``rows[take]``: 1.0 where ``unit`` marks the row, taken
+    through ``row_norms``' scratch blocks elsewhere; without marks every row
+    of ``rows`` is normed where it lies."""
+    if unit is None:
+        return row_norms(rows, tag)[take]
+    norms = np.ones(take.shape[0])
+    todo = np.flatnonzero(~unit[take])
+    norms[todo] = row_norms(rows, tag, take[todo])
+    return norms
 
 
 def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndarray,
@@ -240,15 +267,14 @@ def _generator(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _rewritten(rep: NuclearRep, mu: np.ndarray, take: np.ndarray,
-               fresh_fun=None, fresh_vec=None) -> NuclearRep:
+def _rewritten(rep: NuclearRep, mu: np.ndarray, take: np.ndarray, fresh=None) -> NuclearRep:
     """The rep of weights ``mu`` on the rows ``take`` of ``rep`` followed
-    by the fresh rows, through the constructor's checks."""
+    by the ``fresh`` rows (see ``NuclearRep._store``), through the
+    constructor's checks; of ``rep``'s rows only those it does not mark are
+    normed again."""
     out = object.__new__(NuclearRep)
     out.ambient, out.conjugate, out.order = rep.ambient, rep.conjugate, rep.order
-    if fresh_fun is None:
-        fresh_fun, fresh_vec = rep.functionals[:0], rep.vectors[:0]
-    out._store(mu, rep.functionals, rep.vectors, take, fresh_fun, fresh_vec)
+    out._store(mu, rep.functionals, rep.vectors, take, (rep._unit_fun, rep._unit_vec), fresh)
     return out
 
 
@@ -364,11 +390,11 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
     # a degenerate side (for a shared pair at theta = pi/4, up to rounding)
     # leaves a term far below the pair weight; dropping it perturbs the
     # assembled matrix by at most 1e-14 relative, inside the contract
-    weight = row_norms(fun, rep.conjugate) * row_norms(vec, rep.ambient)
-    live = weight > 1e-14 * (mu_i + mu_j)
+    norm_f, norm_v = row_norms(fun, rep.conjugate), row_norms(vec, rep.ambient)
+    live = norm_f * norm_v > 1e-14 * (mu_i + mu_j)
     take = np.delete(np.arange(len(rep)), [lo, hi])
     mu = np.concatenate([rep.mu[take], np.ones(int(live.sum()))])
-    return _rewritten(rep, mu, take, fun[live], vec[live])
+    return _rewritten(rep, mu, take, (fun[live], vec[live], norm_f[live], norm_v[live]))
 
 
 def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:
@@ -404,9 +430,10 @@ def rep_from_json(data) -> NuclearRep:
     """The rep stored by :func:`rep_to_json`; malformed data raises a
     one-line ``ValueError``.
 
-    An ``order_s``, if present, must be the curve value of ``p``.  Weights
-    and coordinates must be JSON numbers: a string or a boolean is not read
-    as one.
+    An ``order_s``, if present, must be the curve value of ``p``.  Each
+    functional and vector must be a JSON array of ``dim`` coordinates.
+    Weights and coordinates must be JSON numbers: a string or a boolean is
+    not read as one.
     """
     json_object(data, "representation", "ambient", "terms")
     space = json_object(data["ambient"], "representation ambient", "p", "dim")
@@ -420,6 +447,14 @@ def rep_from_json(data) -> NuclearRep:
         if "order_s" in data and (order := OrderExponent(data["order_s"])) != s:
             raise ValueError(f"representation order_s {order} is off the curve: p = {ambient.p} "
                              f"has order {s}")
+        for i, term in enumerate(terms):
+            for key in ("functional", "vector"):
+                if not isinstance(row := term[key], list):
+                    raise ValueError(f"representation term {i} {key} must be a JSON array, "
+                                     f"got {type(row).__name__}")
+                if len(row) != ambient.dim:
+                    raise ValueError(f"representation term {i} {key} has {len(row)} coordinates, "
+                                     f"dim is {ambient.dim}")
         mu, fun, vec = ([t[key] for t in terms] for key in ("mu", "functional", "vector"))
         # type, not isinstance, since a bool is an int
         found = set(map(type, mu)).union(*(map(type, row) for row in fun + vec))

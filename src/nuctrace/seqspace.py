@@ -180,8 +180,9 @@ class DiagonalOperator:
 Operator = DenseOperator | DiagonalOperator
 
 
-def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
-    """Norm of each row of a ``(k, dim)`` array in ``tag``.
+def row_norms(rows: np.ndarray, tag: SpaceTag, at: np.ndarray | None = None) -> np.ndarray:
+    """Norm of each row of a ``(k, dim)`` array in ``tag``, or of the rows
+    ``rows[at]`` for an integer index ``at``.
 
     Each row gets exactly the arithmetic of a single-vector norm: power mean
     for finite p (with the peak scaled out so large p does not underflow),
@@ -197,10 +198,14 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
     out below ``sqrt(tiny)`` or infinite is taken again, with its peak
     scaled out as at every other finite p; every other row keeps its bits.
     The first pass's overflow warning is held back, so a warning means the
-    norm itself overflows.
+    norm itself overflows.  With ``at``, each block's rows are gathered
+    straight from ``rows`` and get the same arithmetic, so
+    ``row_norms(rows, tag, at)`` equals ``row_norms(rows, tag)[at]`` bit for
+    bit without a copy of the picked rows.
     """
     rows = np.asarray(rows)
-    k, dim = rows.shape
+    dim = rows.shape[1]
+    k = rows.shape[0] if at is None else at.shape[0]
     step = max(1, _BLOCK_BYTES // max(8 * dim, 1))
     scratch = np.empty((min(step, k), dim))
     pf = None if tag.kind != "lp" or tag.p.is_inf else float(tag.p)
@@ -209,14 +214,16 @@ def row_norms(rows: np.ndarray, tag: SpaceTag) -> np.ndarray:
         for i in range(0, k, step):
             x = scratch[: min(step, k - i)]
             # converted to float64 before abs, so integer rows cannot overflow
-            np.abs(rows[i : i + step], out=x, dtype=np.float64, casting="unsafe")
+            block = rows[i : i + step] if at is None else rows[at[i : i + step]]
+            np.abs(block, out=x, dtype=np.float64, casting="unsafe")
             out[i : i + x.shape[0]] = _block_norms(x, pf)
     if pf == 2.0:
         retake = np.flatnonzero((out < _SQRT_TINY) | (out == np.inf))
         for i in range(0, retake.size, step):
             idx = retake[i : i + step]
             x = scratch[: idx.size]
-            np.abs(rows[idx], out=x, dtype=np.float64, casting="unsafe")
+            np.abs(rows[idx if at is None else at[idx]], out=x, dtype=np.float64,
+                   casting="unsafe")
             top = _scale_out_peak(x)
             out[idx] = top * np.sqrt(np.vecdot(x, x))
     return out

@@ -225,6 +225,26 @@ MALFORMED = {
     # an exact exponent, but one whose norms would need float(p)
     "rep_p_past_double": ("spectrum", REP_TEXT.replace('"p": "2"', '"p": "1e400"')),
     "config_p_past_double": ("suite", {**CONFIG, "p": "1e400"}),
+    # a term row that is ragged or not an array at all, which numpy reported
+    # in its own words
+    "rep_ragged_functional": (
+        "spectrum",
+        REP_TEXT.replace("}]}", '}, {"mu": 1.0, "functional": [1.0], "vector": [0.5, 0.0]}]}'),
+    ),
+    "rep_functional_number": ("spectrum", REP_TEXT.replace("[1.0, 0.0]", "1.0")),
+    # diagonal ladders whose level sums do not gain strictly less at each
+    # level, which the ladder suite's gap gate fails: every level past
+    # term_count holds the same weights, and unevenly spaced levels
+    "config_diagonal_levels_past_term_count": (
+        "suite",
+        {**CONFIG, "family": "diagonal", "ladder": [64, 128, 256, 512],
+         "decay": {"exponent_multiplier": 1.1, "term_count": 128}},
+    ),
+    "config_diagonal_uneven_levels": (
+        "suite",
+        {**CONFIG, "p": "1", "family": "diagonal", "ladder": [2, 3, 5],
+         "decay": {"exponent_multiplier": 1.1, "term_count": 5}},
+    ),
 }
 
 
@@ -249,7 +269,7 @@ class TestMalformedJson:
     @pytest.mark.parametrize(
         "name",
         ["rep_order_off_curve", "rep_mu_string", "rep_functional_boolean",
-         "rep_vector_numeric_string"],
+         "rep_vector_numeric_string", "rep_ragged_functional", "rep_functional_number"],
     )
     def test_rejected_at_load_by_both_commands(self, name, tmp_path, capsys):
         src = tmp_path / "rep.json"
@@ -263,6 +283,21 @@ class TestMalformedJson:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "representation" in captured.err
         assert not (tmp_path / "pipe.json").exists()
+
+    @pytest.mark.parametrize(
+        ("name", "message"),
+        [("rep_ragged_functional", "representation term 1 functional has 1 coordinates, dim is 2"),
+         ("rep_functional_number", "representation term 0 functional must be a JSON array, "
+                                   "got float"),
+         ("config_diagonal_levels_past_term_count", "[0.439, 0, 0]"),
+         ("config_diagonal_uneven_levels", "[0.163, 0.172]")],
+    )
+    def test_names_the_row_or_the_gaps(self, name, message, tmp_path, capsys):
+        self.test_exits_2_with_one_line(name, tmp_path, capsys)  # writes the file
+        command = MALFORMED[name][0]
+        flag = "--config" if command == "suite" else "--rep"
+        cli_main([command, flag, str(tmp_path / f"{name}.json")])
+        assert message in capsys.readouterr().err
 
     def test_p_past_double_runs_nothing(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"

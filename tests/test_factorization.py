@@ -204,9 +204,9 @@ class TestMemory:
         rewrite(parent)  # first-call allocations are not the path's
         return traced_peak(lambda: rewrite(parent))
 
-    def rotation_family(self):
+    def rotation_family(self, p=INF):
         n = self.N
-        cfg = ExperimentConfig(p=INF, family="shared_functional_rotations",
+        cfg = ExperimentConfig(p=p, family="shared_functional_rotations",
                                decay=DecayProfile(1.0, n), ladder=(n,), seed=7,
                                cases_per_level=1)
         return generate_family(cfg, n)
@@ -237,6 +237,35 @@ class TestMemory:
         out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "merge", 5), parent)
         assert len(out) == n
         assert peak <= 4.31 * n * n * 8
+
+    def test_rotate_pair_peak_p3_2(self):
+        # 2.22 n^2 doubles, as when every row was normed again: the parent's
+        # unmarked rows are normed through row_norms' scratch blocks, with no
+        # k x n gather
+        n = self.N
+        out, peak = self.rewrite_peak(lambda rep: rotate_pair(rep, 3, n // 2, 0.5),
+                                      self.rotation_family("3/2"))
+        assert len(out) == n
+        assert peak <= 2.47 * n * n * 8
+
+    def test_split_peak_p3_2(self):
+        # 2.18 n^2 doubles, as when every row was normed again
+        n = self.N
+        out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "split", 5),
+                                      self.rotation_family("3/2"))
+        assert len(out) == n + 1
+        assert peak <= 2.43 * n * n * 8
+
+    def test_rotate_pair_peak_on_raw_input(self):
+        # 2.22 n^2 doubles: nearly every row of the parent was divided at
+        # construction, so none is marked and all are normed again
+        n = self.N
+        draws = make_rng(7).standard_normal((2, n, n))
+        parent = NuclearRep(lp("3/2", n), np.linspace(1.0, 0.5, n), draws[0], draws[1])
+        del draws
+        out, peak = self.rewrite_peak(lambda rep: rotate_pair(rep, 3, n // 2, 0.5), parent)
+        assert len(out) == n
+        assert peak <= 2.47 * n * n * 8
 
     def test_raw_input_rep_peak(self):
         # 2.16 n^2 doubles: every row needs dividing and is divided in place

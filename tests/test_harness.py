@@ -24,6 +24,8 @@ from nuctrace import (
     row_norms,
 )
 
+from conftest import make_rng
+
 
 def small_config(tmp_path, **overrides):
     base = dict(
@@ -269,6 +271,37 @@ class TestLadderSuite:
         assert (tmp_path / "ladder.csv").read_text().startswith(
             "level,abs_sum,tail_fraction,residual\n"
         )
+
+    def test_diagonal_config_check_predicts_the_gap_gate(self, tmp_path):
+        # seeded diagonal configs, many with levels past term_count, uneven
+        # levels or weights under MU_FLOOR: the loader accepts exactly those
+        # whose ladder suite passes its gap gate, which is left as it was
+        rng = make_rng(26)
+        verdicts = set()
+        for i in range(60):
+            ladder = sorted(rng.choice(np.arange(1, 40), size=int(rng.integers(3, 6)),
+                                       replace=False).tolist())
+            multiplier = float(np.exp(rng.uniform(0.0, np.log(500.0))) if i % 2 else
+                               rng.uniform(1.0, 3.0))
+            data = {"p": str(rng.choice(["1", "4/3", "2", "3", "inf"])), "family": "diagonal",
+                    "decay": {"exponent_multiplier": multiplier,
+                              "term_count": int(rng.integers(1, ladder[-1] + 1))},
+                    "ladder": ladder, "seed": 1, "cases_per_level": 1,
+                    "out_dir": str(tmp_path)}
+            try:
+                config_from_json(data)
+                accepted = True
+            except ValueError as exc:
+                assert "must strictly shrink" in str(exc)
+                accepted = False
+            decay = DecayProfile(**data["decay"])
+            config = small_config(tmp_path, p=data["p"], family="diagonal", decay=decay,
+                                  ladder=tuple(ladder), cases_per_level=1)
+            gate = run_ladder_suite(config).cases[-1]
+            assert gate["check"] == "gap_shrinkage"
+            assert (gate["status"] == "pass") == accepted, data
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 class TestDeterminismAndParallelism:

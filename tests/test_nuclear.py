@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nuctrace.nuclear as nuclear
 from nuctrace import (
     FAMILIES,
     DecayProfile,
@@ -17,8 +22,11 @@ from nuctrace import (
     rep_from_json,
     rep_to_json,
     rewrite_equivalent,
+    row_norms,
     s_from_p,
 )
+from nuctrace.harness import _rewrite_chain
+from nuctrace.nuclear import _generator, rotate_pair
 
 from conftest import make_rng, random_rep
 
@@ -299,6 +307,76 @@ class TestRewrites:
                 except SchemeNotApplicableError:
                     cur = rewrite_equivalent(cur, "split", seed=int(rng.integers(2**32)))
                 assert abs(nuclear_trace(cur) - t0) <= 1e-10 * (1 + mu_sum)
+
+
+def unmarked_store():
+    """A patch under which ``NuclearRep._store`` sees no parent's marks and
+    so norms every row again, as the constructor does on raw input."""
+    store = NuclearRep._store
+
+    def store_without_marks(self, mu, fun, vec, take, unit=None, fresh=None):
+        store(self, mu, fun, vec, take, None, fresh)
+
+    return mock.patch.object(NuclearRep, "_store", store_without_marks)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestUnitMarks:
+    """A rep marks its stored rows of norm exactly 1.0 and a rewrite norms
+    only its parent's other rows; every bit must be what norming every row
+    gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        p=st.sampled_from(["1", "3/2", "2", "3", "inf"]),
+        n=st.integers(1, 12),
+        terms=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 20),
+    )
+    def test_rewrite_chains_keep_every_bit(self, family, p, n, terms, seed, steps):
+        config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, min(terms, n)),
+                                  ladder=(n,), seed=seed)
+        with unmarked_store():
+            ref = generate_family(config, n)
+            ref_chain = list(_rewrite_chain(ref, steps, _generator(seed, 1)))
+        rep = generate_family(config, n)
+        chain = list(_rewrite_chain(rep, steps, _generator(seed, 1)))
+        for a, b in zip([rep, *chain], [ref, *ref_chain]):
+            for x, y in ((a.mu, b.mu), (a.functionals, b.functionals), (a.vectors, b.vectors)):
+                assert same_bits(x, y)
+            # a marked row's norm, taken again from its stored bits, is 1.0
+            for rows, unit, tag in ((a.functionals, a._unit_fun, a.conjugate),
+                                    (a.vectors, a._unit_vec, a.ambient)):
+                assert np.all(row_norms(rows[unit], tag) == 1.0)
+
+    def test_rotate_norms_few_rows(self, monkeypatch):
+        # norming every row again would take all k rows and the two rotated
+        # ones on each side: 516 and 516
+        n = 512
+        config = ExperimentConfig(p="inf", family="shared_functional_rotations",
+                                  decay=DecayProfile(1.0, n), ladder=(n,), seed=7)
+        rep = generate_family(config, n)
+        normed = {rep.ambient: 0, rep.conjugate: 0}
+
+        def counted(rows, tag, at=None):
+            normed[tag] += len(rows) if at is None else len(at)
+            return row_norms(rows, tag, at)
+
+        monkeypatch.setattr(nuclear, "row_norms", counted)
+        rotate_pair(rep, 3, n // 2, 0.5)
+        assert normed[rep.ambient] <= 4
+        assert normed[rep.conjugate] < n // 4
+
+    def test_marks_are_read_only(self):
+        rep = rewrite_equivalent(diagonal_rep([1.0, 0.5]), "split", 1)
+        for marks in (rep._unit_fun, rep._unit_vec):
+            assert marks.tolist() == [True] * 3
+            assert not marks.flags.writeable
 
 
 class TestJson:
