@@ -6,9 +6,10 @@ A representation on lp(p) with p >= 2 factors as
 
 with both middle diagonals carrying mu^(s/2) and the decay diagonal
 carrying mu^(1-s); below p = 2 the chain runs on the conjugate lp(p')
-(the p = 4/3 case prints lp(4) tags).  The demo prints the stage tags,
-verifies the reconstruction, and shows the three summing certificates
-whose exponents (r, 2, p) always spend exactly the full reciprocal budget 1.
+(the p = 4/3 case prints lp(4) tags).  The demo prints each stage's name
+and tags, verifies the reconstruction, and shows the three summing
+certificates whose exponents (r, 2, p) always spend exactly the full
+reciprocal budget 1.
 """
 
 import numpy as np
@@ -35,8 +36,8 @@ def demo(p, dim=12, n_terms=6):
     rep = NuclearRep(ambient, [(k + 1.0) ** -1.5 for k in range(n_terms)], fun, vec)
     pipe = build_pipeline(rep)
     print(f"p = {pipe.triple.p}: s = {pipe.triple.s}, r = {pipe.triple.r}")
-    for stage in pipe.stages():
-        print(f"    {str(stage.domain):>12} -> {str(stage.codomain):<12}")
+    for name, stage in pipe.stages.items():
+        print(f"  {name:>13}: {str(stage.domain):>12} -> {stage.codomain}")
     print(f"  reconstruction error {pipe.reconstruction_error:.2e}")
     for cert in summing_certificates(pipe):
         print(f"  {cert.stage_label}: Pi_{cert.exponent} bound {cert.bound:.6f}  [{cert.formula}]")

@@ -160,10 +160,6 @@ class Exponent(_Rational):
         return NotImplemented
 
 
-def _coerce(value) -> Exponent:
-    return value if isinstance(value, Exponent) else Exponent(value)
-
-
 INF = Exponent("inf")
 
 
@@ -183,7 +179,7 @@ def s_from_p(p) -> OrderExponent:
 
     Invariant under conjugation: ``s_from_p(p) == s_from_p(conjugate(p))``.
     """
-    p = _coerce(p)
+    p = Exponent(p)
     recip_s = _ONE + abs(_HALF - p.reciprocal)  # in [1, 3/2]: s is in range
     return OrderExponent._exact(1 / recip_s, recip_s)
 
@@ -196,19 +192,19 @@ def r_from_s(s) -> Exponent:
 
 def conjugate(p) -> Exponent:
     """Dual exponent: ``1/p + 1/conjugate(p) = 1`` exactly."""
-    p = _coerce(p)
+    p = Exponent(p)
     return Exponent.from_reciprocal(_ONE - p.reciprocal)
 
 
 def reduce_to_p_ge_2(p) -> Exponent:
     """The larger of ``p`` and its conjugate; always ``>= 2`` and idempotent."""
-    p = _coerce(p)
+    p = Exponent(p)
     return Exponent.from_reciprocal(min(p.reciprocal, _ONE - p.reciprocal))
 
 
 def check_holder_chain(exps) -> bool:
     """True iff the reciprocals of the given exponents sum exactly to 1."""
-    total = sum((_coerce(e).reciprocal for e in exps), _ZERO)
+    total = sum((Exponent(e).reciprocal for e in exps), _ZERO)
     return total == _ONE
 
 

@@ -3,18 +3,20 @@
 A representation ``sum_k mu_k f_k tensor v_k`` on an ``lp(p)`` truncation
 with ``p >= 2`` factors through the chain
 
-    lp(p) --A--> linf --D(mu^(1-s))--> lp(r) --j--> c0
+    lp(p) --A--> linf --D(mu^(1-s))--> lp(r) --J--> c0
           --D(mu^(s/2))--> lp(2) --D(mu^(s/2))--> lp(1) --B--> lp(p)
 
 where row k of A evaluates the k-th functional, B sends the k-th basis
-vector to v_k, j is the formal identity, and the middle diagonals carry the
-weights.  Below ``p = 2`` the chain runs on the conjugate ``lp(p')`` and
-factors the transpose, f_k and v_k trading places; ``1/s = 1 + |1/2 - 1/p|``
-is the same for p and p'.  The exponent r is chosen by ``(1 - s) r = s``,
-which is exactly what makes the first diagonal r-summable whenever the
-weights are s-summable; splitting the last diagonal evenly into two
-``mu^(s/2)`` factors puts both halves in the Hilbert space whenever the
-same sum is finite.
+vector to v_k, J is the formal identity, and the middle diagonals carry the
+weights.  :class:`Pipeline` keeps the six stages under these names, the
+diagonals as ``D_one_minus_s``, ``D1`` and ``D2``, which are also their
+names in the pipeline file.  Below ``p = 2`` the chain runs on the
+conjugate ``lp(p')`` and factors the transpose, f_k and v_k trading places;
+``1/s = 1 + |1/2 - 1/p|`` is the same for p and p'.  The exponent r is
+chosen by ``(1 - s) r = s``, which is exactly what makes the first diagonal
+r-summable whenever the weights are s-summable; splitting the last diagonal
+evenly into two ``mu^(s/2)`` factors puts both halves in the Hilbert space
+whenever the same sum is finite.
 
 Each stage is certified with a summing exponent and a recorded upper
 bound.  The three certificate exponents (r, 2, p) always satisfy
@@ -24,6 +26,7 @@ bound.  The three certificate exponents (r, 2, p) always satisfy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,9 +59,6 @@ RECONSTRUCTION_BUDGET = 1e-10
 # side of the square tiles in which build_pipeline subtracts the target
 _TILE = 128
 
-# the JSON name of each stage, in the order of Pipeline.stages()
-_STAGE_NAMES = ("A", "D_one_minus_s", "J", "D1", "D2", "B")
-
 
 @dataclass(frozen=True)
 class SummingCertificate:
@@ -80,29 +80,16 @@ class SummingCertificate:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """The assembled five-stage factorization record."""
+    """The assembled five-stage factorization record.  ``stages`` maps each
+    stage's name in the pipeline file to its operator, in application order:
+    ``A``, ``D_one_minus_s``, ``J``, ``D1``, ``D2``, ``B``; it is a read-only
+    view, so the stages stay the ones the checks ran on."""
 
-    stage_a: DenseOperator        # lp(p) -> linf, row k = functional k (vector k below 2)
-    stage_d1ms: DiagonalOperator  # linf -> lp(r), diag mu^(1-s)
-    stage_j: DiagonalOperator     # lp(r) -> c0, formal identity
-    stage_d1: DiagonalOperator    # c0 -> lp(2), diag mu^(s/2)
-    stage_d2: DiagonalOperator    # lp(2) -> lp(1), diag mu^(s/2)
-    stage_b: DenseOperator        # lp(1) -> lp(p), column k = vector k (functional k below 2)
+    stages: MappingProxyType[str, DenseOperator | DiagonalOperator]
     triple: ParameterTriple
     mu: np.ndarray                # the rep's read-only weights, shared
     reconstruction_error: float   # |composed - target|_F, computed once
     target_norm: float            # |target|_F; target = assemble(rep), transposed below 2
-
-    def stages(self) -> list[DenseOperator | DiagonalOperator]:
-        """All six stages in application order."""
-        return [
-            self.stage_a,
-            self.stage_d1ms,
-            self.stage_j,
-            self.stage_d1,
-            self.stage_d2,
-            self.stage_b,
-        ]
 
 
 def build_pipeline(rep: NuclearRep) -> Pipeline:
@@ -136,19 +123,19 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     d1ms = np.power(mu, 1.0 - s)
 
     # A and B are the rep's own read-only rows, shared rather than copied
-    stages = (
-        DenseOperator(rows_a, tag_y, tag_inf),
-        DiagonalOperator(d1ms, tag_inf, tag_r),
-        DiagonalOperator(np.ones(k), tag_r, tag_c0),
-        DiagonalOperator(half, tag_c0, tag_2),
-        DiagonalOperator(half, tag_2, tag_1),
-        DenseOperator(rows_b.T, tag_1, tag_y),
-    )
+    stages = MappingProxyType({
+        "A": DenseOperator(rows_a, tag_y, tag_inf),
+        "D_one_minus_s": DiagonalOperator(d1ms, tag_inf, tag_r),
+        "J": DiagonalOperator(np.ones(k), tag_r, tag_c0),
+        "D1": DiagonalOperator(half, tag_c0, tag_2),
+        "D2": DiagonalOperator(half, tag_2, tag_1),
+        "B": DenseOperator(rows_b.T, tag_1, tag_y),
+    })
     pipe = Pipeline(
-        *stages,
+        stages,
         triple=triple,
         mu=mu,
-        reconstruction_error=_distance(compose(stages).matrix, target),
+        reconstruction_error=_distance(compose(tuple(stages.values())).matrix, target),
         target_norm=_frobenius(target),
     )
     _check_pipeline(pipe)
@@ -183,7 +170,7 @@ def _check_pipeline(pipe: Pipeline) -> None:
     err = pipe.reconstruction_error
     if err > RECONSTRUCTION_BUDGET * (1.0 + pipe.target_norm):
         raise RuntimeError(f"pipeline does not reconstruct its representation: {err:g}")
-    d1ms, d1, d2 = pipe.stage_d1ms.diag, pipe.stage_d1.diag, pipe.stage_d2.diag
+    d1ms, d1, d2 = (pipe.stages[name].diag for name in ("D_one_minus_s", "D1", "D2"))
     if not np.allclose(d1 * d2 * d1ms, pipe.mu, rtol=1e-13, atol=0.0):
         raise RuntimeError("diagonal stages do not multiply back to the weights")
 
@@ -201,14 +188,15 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     value; order boundedness gives no constant, so its sharpness is not
     certified.
     """
-    triple, a, b = pipe.triple, pipe.stage_a, pipe.stage_b
+    triple = pipe.triple
+    a, d1ms, d1, b = (pipe.stages[name] for name in ("A", "D_one_minus_s", "D1", "B"))
     # exact operator norms: lp(p) -> sup is the largest dual norm of a row
     # of A, lp(1) -> lp(p) the largest norm of a column of B
     norm_a = float(row_norms(a.matrix, conjugate_tag(a.domain)).max())
     norm_b = float(row_norms(b.matrix.T, b.codomain).max())
     # each diagonal in its stage's codomain, lp(r) and lp(2)
-    d1ms_r = lp_norm(pipe.stage_d1ms.diag, pipe.stage_d1ms.codomain)
-    d_l2 = lp_norm(pipe.stage_d1.diag, pipe.stage_d1.codomain)
+    d1ms_r = lp_norm(d1ms.diag, d1ms.codomain)
+    d_l2 = lp_norm(d1.diag, d1.codomain)
 
     certs = [
         SummingCertificate(
@@ -250,8 +238,6 @@ def pipeline_to_json(pipe: Pipeline) -> dict:
         "format": 2,
         "triple": pipe.triple.as_dict(),
         "mu": pipe.mu,
-        "stages": {
-            name: operator_to_json(op) for name, op in zip(_STAGE_NAMES, pipe.stages())
-        },
+        "stages": {name: operator_to_json(op) for name, op in pipe.stages.items()},
         "certificates": [c.as_dict() for c in summing_certificates(pipe)],
     }

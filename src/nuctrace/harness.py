@@ -144,6 +144,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"cases_per_level must be a positive integer, got {self.cases_per_level!r}"
             )
+        if self.family == "diagonal":
+            gaps = _diagonal_gaps(self)
+            if not all(later < earlier for earlier, later in zip(gaps, gaps[1:])):
+                raise ValueError("config ladder: the gaps between the diagonal family's level "
+                                 f"sums must strictly shrink, got "
+                                 f"[{', '.join(f'{g:.3g}' for g in gaps)}]")
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
@@ -165,7 +171,7 @@ def config_from_json(data) -> ExperimentConfig:
         return {key: obj[key] for key in keys if key in obj}
 
     try:
-        config = ExperimentConfig(
+        return ExperimentConfig(
             p=Exponent(data["p"]),
             family=data["family"],
             decay=DecayProfile(decay["exponent_multiplier"], decay["term_count"]),
@@ -176,12 +182,6 @@ def config_from_json(data) -> ExperimentConfig:
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc
-    if config.family == "diagonal":
-        gaps = _diagonal_gaps(config)
-        if not all(later < earlier for earlier, later in zip(gaps, gaps[1:])):
-            raise ValueError("config ladder: the gaps between the diagonal family's level sums "
-                             f"must strictly shrink, got [{', '.join(f'{g:.3g}' for g in gaps)}]")
-    return config
 
 
 # --- deterministic stream derivation ----------------------------------------

@@ -82,8 +82,7 @@ class SpaceTag:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.kind == "lp":
-            if not isinstance(self.p, Exponent):
-                object.__setattr__(self, "p", Exponent(self.p))
+            object.__setattr__(self, "p", Exponent(self.p))
             if not self.p.is_inf and self.p.value > _MAX_P:
                 raise ValueError("a finite lp exponent must not exceed the largest double, "
                                  "about 1.8e308; use inf")
@@ -100,7 +99,7 @@ class SpaceTag:
 
 
 def lp(p, dim: int) -> SpaceTag:
-    return SpaceTag("lp", Exponent(p), dim)
+    return SpaceTag("lp", p, dim)
 
 
 def c0(dim: int) -> SpaceTag:

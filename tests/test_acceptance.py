@@ -119,7 +119,7 @@ def test_criterion_4_pipeline_reconstruction():
             rep = random_rep(rng, p, dim, terms)
             pipe = nt.build_pipeline(rep)
             target = nt.assemble(rep).matrix
-            err = float(np.linalg.norm(nt.compose(pipe.stages()).matrix - target))
+            err = float(np.linalg.norm(nt.compose(tuple(pipe.stages.values())).matrix - target))
             assert err <= 1e-10 * (1 + float(np.linalg.norm(target)))
             certs = nt.summing_certificates(pipe)
             assert nt.check_holder_chain([c.exponent for c in certs]) is True

@@ -1,8 +1,9 @@
 """Every name the package and its modules export resolves, the package
 declares each of them once, the README library map names each of them, each
 of them has a caller outside the tests, no module imports a name it leaves
-unused, every entry point the benchmark tracer patches exists, and the
-README's rep example loads."""
+unused, every entry point the benchmark tracer patches exists and its count
+hooks read what the library passes them, and the README's rep example
+loads."""
 
 import ast
 import importlib
@@ -120,13 +121,45 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-def test_every_traced_entry_point_exists():
+def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_entry_point_exists():
+    tracer = _load_tracer()
     missing = [name for name, owner, attr, _ in tracer._targets(nuctrace) if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_hooks_read_what_the_library_passes(tmp_path):
+    # the hooks index their arguments (compose's ops[0], say), so a change
+    # in what the library hands them raises here, not first in the benchmark
+    tracer = _load_tracer().Tracer(nuctrace)
+    config = nuctrace.ExperimentConfig(
+        p=nuctrace.Exponent(2), family="random_unit", decay=nuctrace.DecayProfile(1.1, 4),
+        ladder=(6,), seed=1, out_dir=str(tmp_path), cases_per_level=1)
+    tracer.install()
+    try:
+        tracer.begin_pass(0)
+        tracer.begin_op()
+        rep = nuctrace.generate_family(config, 6)
+        nuctrace.pipeline_to_json(nuctrace.build_pipeline(rep))
+        nuctrace.spectral_report(rep)
+        assert nuctrace.run_trace_suite(config).failed == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    seen = {tracer.names[i] for i in spans["name"]}
+    assert {"seqspace.compose", "seqspace.DenseOperator", "nuclear.NuclearRep",
+            "factorization.build_pipeline", "factorization.pipeline_to_json",
+            "spectra.eigen_spectrum", "harness.run_trace_suite"} <= seen
+    assert not spans["err"].any()
+    assert tracer.counters["seqspace.compose.gflop"] > 0
+    assert tracer.counters["spectra.eigen_spectrum.gflop"] > 0
 
 
 def test_readme_rep_example_loads():

@@ -19,7 +19,9 @@ from hypothesis.extra import numpy as hnp
 
 import nuctrace
 import nuctrace.cli as cli
+import nuctrace.factorization as factorization
 from nuctrace import (
+    DenseOperator,
     NuclearRep,
     build_pipeline,
     cli_main,
@@ -97,6 +99,17 @@ class TestSpectrumCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli_main(["spectrum", "--rep", str(tmp_path / "nope.json")]) == 2
+
+    def test_eigensolver_failure_exits_1(self, rep_file, capsys, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert cli_main(["spectrum", "--rep", str(rep_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eigensolver failed to converge: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "functional", [[float("nan"), 0.0, 0.0], [1.7e308] * 3], ids=["nan", "1.7e308"]
@@ -585,6 +598,24 @@ class TestFactorizeCommand:
         src = tmp_path / "empty.json"
         src.write_text(json.dumps({"ambient": {"p": "2", "dim": 3}, "order_s": "1", "terms": []}))
         assert cli_main(["factorize", "--rep", str(src), "--out", str(tmp_path / "o.json")]) == 2
+
+
+    def test_failed_reconstruction_exits_1_and_writes_nothing(
+        self, rep_file, tmp_path, capsys, monkeypatch
+    ):
+        real = factorization.assemble
+
+        def off(rep):
+            op = real(rep)
+            return DenseOperator(op.matrix * (1 + 1e-6), op.domain, op.codomain)
+
+        monkeypatch.setattr(factorization, "assemble", off)
+        out = tmp_path / "pipe.json"
+        assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: pipeline does not reconstruct ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSuiteCommand:

@@ -38,15 +38,15 @@ class TestEvenSplit:
     def test_halves_are_one_frozen_copy_of_mu_to_the_s_half(self, p):
         rep = diagonal_rep(make_rng(21).uniform(1e-6, 5.0, size=32), p)
         pipe = build_pipeline(rep)
-        half = pipe.stage_d1.diag
-        assert half is pipe.stage_d2.diag and not half.flags.writeable
+        half = pipe.stages["D1"].diag
+        assert half is pipe.stages["D2"].diag and not half.flags.writeable
         assert not np.shares_memory(half, rep.mu)
         assert np.array_equal(half, np.power(rep.mu, float(pipe.triple.s) / 2))
 
     def test_eighth_at_p_inf(self):
         # s = 2/3: (1/8)^(s/2) = (1/8)^(1/3) = 1/2
         pipe = build_pipeline(diagonal_rep([0.125], np.inf))
-        assert pipe.stage_d1.diag[0] == pytest.approx(0.5, rel=1e-14)
+        assert pipe.stages["D1"].diag[0] == pytest.approx(0.5, rel=1e-14)
 
 
 class TestBuildPipeline:
@@ -54,17 +54,19 @@ class TestBuildPipeline:
         rep = diagonal_rep([1.0, 0.25], p=2)
         pipe = build_pipeline(rep)
         # s = 1: the decay stage is the identity and composes away
-        assert np.array_equal(pipe.stage_d1ms.matrix, np.eye(2))
-        assert np.allclose(np.diag(pipe.stage_d1.matrix), [1.0, 0.5], rtol=1e-14)
-        assert np.allclose(np.diag(pipe.stage_d2.matrix), [1.0, 0.5], rtol=1e-14)
-        assert np.allclose(compose(pipe.stages()).matrix, np.diag([1.0, 0.25]), rtol=1e-14)
+        assert np.array_equal(pipe.stages["D_one_minus_s"].matrix, np.eye(2))
+        assert np.allclose(np.diag(pipe.stages["D1"].matrix), [1.0, 0.5], rtol=1e-14)
+        assert np.allclose(np.diag(pipe.stages["D2"].matrix), [1.0, 0.5], rtol=1e-14)
+        composed = compose(tuple(pipe.stages.values())).matrix
+        assert np.allclose(composed, np.diag([1.0, 0.25]), rtol=1e-14)
         assert str(pipe.triple.r) == "inf"
 
     def test_sup_space_uses_cube_root_decay(self):
         mu = [1.0, 1.0 / 8, 1.0 / 27]
         rep = diagonal_rep(mu, p=np.inf)
         pipe = build_pipeline(rep)
-        assert np.allclose(np.diag(pipe.stage_d1ms.matrix), np.power(mu, 1 / 3), rtol=1e-14)
+        d1ms = np.diag(pipe.stages["D_one_minus_s"].matrix)
+        assert np.allclose(d1ms, np.power(mu, 1 / 3), rtol=1e-14)
         assert str(pipe.triple.r) == "2"
 
     def test_reconstruction_random_p4(self):
@@ -72,20 +74,20 @@ class TestBuildPipeline:
         rep = random_rep(rng, 4, 16, 6)
         pipe = build_pipeline(rep)
         target = assemble(rep).matrix
-        err = np.linalg.norm(compose(pipe.stages()).matrix - target)
+        err = np.linalg.norm(compose(tuple(pipe.stages.values())).matrix - target)
         assert err <= 1e-10 * (1 + np.linalg.norm(target))
 
     def test_stages_a_and_b_share_the_reps_rows(self):
         rep = random_rep(make_rng(23), 3, 12, 5)
         pipe = build_pipeline(rep)
-        assert np.shares_memory(pipe.stage_a.matrix, rep.functionals)
-        assert np.shares_memory(pipe.stage_b.matrix, rep.vectors)
+        assert np.shares_memory(pipe.stages["A"].matrix, rep.functionals)
+        assert np.shares_memory(pipe.stages["B"].matrix, rep.vectors)
         assert np.shares_memory(pipe.mu, rep.mu) and not pipe.mu.flags.writeable
         assert not assemble(rep).matrix.flags.writeable
 
     def test_stage_tags_chain(self):
         rep = diagonal_rep([1.0, 0.5], p=3)
-        stages = build_pipeline(rep).stages()
+        stages = list(build_pipeline(rep).stages.values())
         for a, b in zip(stages, stages[1:]):
             assert a.codomain == b.domain
         assert stages[0].domain == rep.ambient
@@ -97,12 +99,13 @@ class TestBuildPipeline:
     def test_small_p_factors_the_transpose_on_the_reps_rows(self, p):
         rep = random_rep(make_rng(29), p, 12, 8)
         pipe, adj = build_pipeline(rep), build_pipeline(adjoint_rep(rep))
-        assert np.shares_memory(pipe.stage_a.matrix, rep.vectors)
-        assert np.shares_memory(pipe.stage_b.matrix, rep.functionals)
+        assert np.shares_memory(pipe.stages["A"].matrix, rep.vectors)
+        assert np.shares_memory(pipe.stages["B"].matrix, rep.functionals)
         assert pipe.triple == adj.triple
-        tags = [(st.domain, st.codomain) for st in pipe.stages()]
-        assert tags == [(st.domain, st.codomain) for st in adj.stages()]
-        got, want = compose(pipe.stages()).matrix, compose(adj.stages()).matrix
+        tags = [(st.domain, st.codomain) for st in pipe.stages.values()]
+        assert tags == [(st.domain, st.codomain) for st in adj.stages.values()]
+        got = compose(tuple(pipe.stages.values())).matrix
+        want = compose(tuple(adj.stages.values())).matrix
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("p", [1, "4/3", "3/2", 2, 3, np.inf])
@@ -114,7 +117,7 @@ class TestBuildPipeline:
         target = assemble(rep).matrix
         if rep.ambient.p < 2:
             target = target.T
-        fresh = compose(pipe.stages()).matrix - target
+        fresh = compose(tuple(pipe.stages.values())).matrix - target
         assert pipe.reconstruction_error == float(np.linalg.norm(fresh))
 
     @staticmethod
@@ -153,9 +156,9 @@ class TestBuildPipeline:
             rep = random_rep(rng, p, 10, 7)
             pipe = build_pipeline(rep)
             prod = (
-                np.diag(pipe.stage_d1.matrix)
-                * np.diag(pipe.stage_d2.matrix)
-                * np.diag(pipe.stage_d1ms.matrix)
+                np.diag(pipe.stages["D1"].matrix)
+                * np.diag(pipe.stages["D2"].matrix)
+                * np.diag(pipe.stages["D_one_minus_s"].matrix)
             )
             assert np.allclose(prod, pipe.mu, rtol=1e-13, atol=0.0)
 
@@ -407,6 +410,15 @@ class TestTailSummability:
 
 
 class TestPipelineJson:
+    @pytest.mark.parametrize("p", ["4/3", 2, np.inf])
+    def test_stages_are_named_as_in_the_file_in_application_order(self, p):
+        pipe = build_pipeline(random_rep(make_rng(27), p, 6, 4))
+        names = ["A", "D_one_minus_s", "J", "D1", "D2", "B"]
+        assert list(pipe.stages) == names
+        assert list(pipeline_to_json(pipe)["stages"]) == names
+        with pytest.raises(TypeError):
+            pipe.stages["J"] = pipe.stages["D1"]
+
     def test_emission_shape(self):
         pipe = build_pipeline(diagonal_rep([1.0, 0.5], p=2))
         data = pipeline_to_json(pipe)
@@ -432,6 +444,6 @@ class TestPipelineJson:
             assert leaf.flags.c_contiguous and not leaf.flags.writeable
         # mu and A are the rep's own arrays; B, a transposed view, is copied once
         assert data["mu"] is rep.mu
-        assert stages["A"]["matrix"] is pipe.stage_a.matrix
-        assert np.array_equal(stages["B"]["matrix"], pipe.stage_b.matrix)
-        assert not np.shares_memory(stages["B"]["matrix"], pipe.stage_b.matrix)
+        assert stages["A"]["matrix"] is pipe.stages["A"].matrix
+        assert np.array_equal(stages["B"]["matrix"], pipe.stages["B"].matrix)
+        assert not np.shares_memory(stages["B"]["matrix"], pipe.stages["B"].matrix)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from nuctrace import (
     run_ladder_suite,
     run_trace_suite,
     row_norms,
+    summability_ladder,
 )
 
 from conftest import make_rng
@@ -274,8 +276,8 @@ class TestLadderSuite:
 
     def test_diagonal_config_check_predicts_the_gap_gate(self, tmp_path):
         # seeded diagonal configs, many with levels past term_count, uneven
-        # levels or weights under MU_FLOOR: the loader accepts exactly those
-        # whose ladder suite passes its gap gate, which is left as it was
+        # levels or weights under MU_FLOOR: the config accepts exactly those
+        # whose ladder suite would pass its gap gate, which is left as it was
         rng = make_rng(26)
         verdicts = set()
         for i in range(60):
@@ -294,14 +296,27 @@ class TestLadderSuite:
             except ValueError as exc:
                 assert "must strictly shrink" in str(exc)
                 accepted = False
-            decay = DecayProfile(**data["decay"])
-            config = small_config(tmp_path, p=data["p"], family="diagonal", decay=decay,
-                                  ladder=tuple(ladder), cases_per_level=1)
-            gate = run_ladder_suite(config).cases[-1]
-            assert gate["check"] == "gap_shrinkage"
-            assert (gate["status"] == "pass") == accepted, data
+            # the suite's gaps, drawn through a one-level config, which the
+            # rule always accepts
+            one_level = small_config(tmp_path, p=data["p"], family="diagonal",
+                                     decay=DecayProfile(**data["decay"]),
+                                     ladder=(ladder[-1],), cases_per_level=1)
+            rows = summability_ladder(lambda n: generate_family(one_level, n), ladder)
+            gaps = [b.abs_sum - a.abs_sum for a, b in zip(rows, rows[1:])]
+            gate = all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+            assert gate == accepted, data
             verdicts.add(accepted)
         assert verdicts == {True, False}
+
+    def test_python_built_diagonal_config_applies_the_ladder_rule(self, tmp_path):
+        # the rule lives in the dataclass, so construction and replace apply it
+        with pytest.raises(ValueError, match=r"must strictly shrink, got \[0\.\d+, 0, 0\]"):
+            ExperimentConfig(p=Exponent(2), family="diagonal", decay=DecayProfile(1.1, 128),
+                             ladder=(64, 128, 256, 512), seed=1)
+        ok = small_config(tmp_path, family="diagonal", decay=DecayProfile(1.1, 7),
+                          ladder=(4, 6, 7, 8))
+        with pytest.raises(ValueError, match=r"must strictly shrink, got \[.*, 0, 0\]"):
+            dataclasses.replace(ok, ladder=(4, 6, 7, 8, 9))
 
 
 class TestDeterminismAndParallelism:

@@ -756,7 +756,7 @@ def test_pipeline_matches_dense_chain(p, family):
         rep = generate_family(config, n)
         pipe = build_pipeline(rep)
         ref = ref_pipeline_chain(rep)
-        assert np.array_equal(compose(pipe.stages()).matrix, ref)
+        assert np.array_equal(compose(tuple(pipe.stages.values())).matrix, ref)
         target = assemble(rep).matrix
         if rep.ambient.p < 2:
             target = target.T

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import orjson
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from nuctrace import (
     DenseOperator,
     DiagonalOperator,
+    Exponent,
     SpaceMismatchError,
+    SpaceTag,
     c0,
     compose,
     conjugate_tag,
@@ -98,6 +101,16 @@ class TestTags:
         assert conjugate_tag(lp("4/3", 4)) == lp(4, 4)
         assert conjugate_tag(c0(4)) == lp(1, 4)
         assert conjugate_tag(linf(4)) == lp(1, 4)
+
+    @pytest.mark.parametrize("raw", [2, "7/3", "inf", Fraction(3, 2)])
+    def test_lp_tag_coerces_a_raw_exponent(self, raw):
+        tag = SpaceTag("lp", raw, 5)
+        assert tag == lp(raw, 5)
+        assert type(tag.p) is Exponent and tag.p == Exponent(raw)
+
+    def test_lp_tag_rejects_a_boolean_exponent(self):
+        with pytest.raises(TypeError):
+            SpaceTag("lp", True, 5)
 
     def test_finite_p_past_the_largest_double_is_rejected(self):
         # exact as an Exponent, but its norms would need float(p)
