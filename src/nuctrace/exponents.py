@@ -18,7 +18,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = [
     "Exponent",
@@ -120,7 +119,6 @@ class _Rational:
         return f"{type(self).__name__}({str(self)!r})"
 
 
-@total_ordering
 class Exponent(_Rational):
     """An exponent ``p`` in ``[1, inf]``; it also takes ``"inf"``
     (case-insensitive) and the float ``inf``, stored as the reciprocal ``0``."""
@@ -150,14 +148,6 @@ class Exponent(_Rational):
     @property
     def is_inf(self) -> bool:
         return self._value is None
-
-    # Larger exponent <=> smaller reciprocal; inf is the maximum.
-    def __lt__(self, other) -> bool:
-        if isinstance(other, Exponent):
-            return self._recip > other._recip
-        if isinstance(other, (int, Fraction)):
-            return self._value is not None and self._value < other
-        return NotImplemented
 
 
 INF = Exponent("inf")

@@ -385,12 +385,7 @@ def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
         p = rep.ambient.p
         row: dict = {"case": i, "level": level, "p": str(p),
                      "built_on_p": str(reduce_to_p_ge_2(p))}
-        try:
-            pipe = build_pipeline(rep)
-        except ValueError as exc:
-            row["status"] = "skipped-degenerate"
-            row["detail"] = str(exc)
-            return row
+        pipe = build_pipeline(rep)
         recon_err = pipe.reconstruction_error
         budget = config.tolerances.reconstruction * (1.0 + pipe.target_norm)
         certs = summing_certificates(pipe)
@@ -417,10 +412,6 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
         raise ValueError("ladder suite needs at least three levels")
 
     rows = summability_ladder(lambda n: generate_family(config, n), config.ladder)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ladder.csv").write_text(ladder_csv(rows))
-
     cases = []
     for row in rows:
         ok = row.residual <= RESIDUAL_BUDGET * (1.0 + row.abs_sum)
@@ -440,4 +431,6 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
         )
     else:
         cases.append({"check": "gap_report", "gaps": gaps, "status": "pass"})
-    return _finish("ladder", config, cases, started)
+    report = _finish("ladder", config, cases, started)
+    (Path(config.out_dir) / "ladder.csv").write_text(ladder_csv(rows))
+    return report

@@ -8,6 +8,7 @@ import pytest
 import nuctrace.harness as harness
 import nuctrace.nuclear as nuclear
 from nuctrace import (
+    FAMILIES,
     DecayProfile,
     Exponent,
     ExperimentConfig,
@@ -239,16 +240,6 @@ class TestFactorizationSuite:
             assert report.failed == 0
             assert all(c["chain_exact"] for c in report.cases)
 
-    def test_degenerate_case_skipped_not_failed(self, tmp_path, monkeypatch):
-        def empty_family(config, n):
-            return NuclearRep(lp(config.p, n), [], [], [])
-
-        monkeypatch.setattr(harness, "generate_family", empty_family)
-        report = run_factorization_suite(small_config(tmp_path))
-        assert report.failed == 0
-        assert all(c["status"] == "skipped-degenerate" for c in report.cases)
-        assert report.passed == len(report.cases)
-
 
 class TestLadderSuite:
     def test_needs_three_levels(self, tmp_path):
@@ -317,6 +308,19 @@ class TestLadderSuite:
                           ladder=(4, 6, 7, 8))
         with pytest.raises(ValueError, match=r"must strictly shrink, got \[.*, 0, 0\]"):
             dataclasses.replace(ok, ladder=(4, 6, 7, 8, 9))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_suite_row_is_gated(tmp_path, family):
+    # no row escapes the gate: each is a pass or a fail, and the tally counts
+    # them all; the report directory is made by the suite itself
+    cfg = small_config(tmp_path / "new" / family, family=family,
+                       decay=DecayProfile(1.1, 8), ladder=(4, 6, 8))
+    for run in (run_trace_suite, run_factorization_suite, run_ladder_suite):
+        data = run(cfg).data_dict()
+        assert {c["status"] for c in data["cases"]} <= {"pass", "fail"}
+        assert data["passed"] + data["failed"] == data["total"] == len(data["cases"])
+    assert (tmp_path / "new" / family / "ladder.csv").is_file()
 
 
 class TestDeterminismAndParallelism:

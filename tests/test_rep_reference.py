@@ -3,13 +3,15 @@ diagonal-stage pipeline against the dense chain it replaced, and the
 spectral report against the assembled-matrix eigensolve it replaced.
 
 The reference functions below are the original implementations (a Python
-loop over terms, one norm per vector; k x k ``np.diag`` stages multiplied
-by matmul; ``eigen_spectrum(assemble(rep))`` for every rep); the library
-must agree with them bit for bit, so every comparison is ``np.array_equal``
+loop over terms, one ``one_row_norm`` per vector; k x k ``np.diag`` stages
+multiplied by matmul; ``eigen_spectrum(assemble(rep))`` for every rep); the
+library must agree with them bit for bit, so every comparison is ``np.array_equal``
 or ``==``.  The one exception is the spectrum of a rep with fewer distinct
 functionals than dimensions, which is now solved on a smaller matrix and is
 compared within an eigensolver budget.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -34,33 +36,22 @@ from nuctrace import (
     row_norms,
     spectral_report,
 )
-from nuctrace.exponents import s_from_p
+from nuctrace.exponents import reduce_to_p_ge_2, s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights
 from nuctrace.nuclear import MU_FLOOR, _generator, _merge, _parallel_pairs, _split, rotate_pair
 from nuctrace.seqspace import c0, linf
 from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
-from conftest import make_rng, random_rep
+from conftest import make_rng, one_row_norm, random_rep
 
 EXPONENTS = (1, "4/3", "3/2", 2, 3, "inf")
 
+# rows whose squares underflow or overflow at p = 2, or lose bits there
+EDGE_ROWS = np.array([[1e-200, 0.0, 0.0], [3e-170, 4e-170, 0.0],
+                      [1e200, 1e200, 0.0], [1e-160, 1e-161, 2e-160]])
+
 
 # --- reference implementations ------------------------------------------------
-
-
-def ref_norm(coords, tag) -> float:
-    x = np.abs(np.array(coords, dtype=np.float64))
-    if tag.kind != "lp" or tag.p.is_inf:
-        return float(x.max(initial=0.0))
-    pf = float(tag.p)
-    if pf == 1.0:
-        return float(x.sum())
-    if pf == 2.0:
-        return float(np.sqrt(np.dot(x, x)))
-    top = x.max(initial=0.0)
-    if top == 0.0:
-        return 0.0
-    return float(top * np.power(np.power(x / top, pf).sum(), 1.0 / pf))
 
 
 def ref_arrays(ambient, terms):
@@ -70,12 +61,12 @@ def ref_arrays(ambient, terms):
     for mu, f, v in terms:
         f = np.array(f, dtype=np.float64)
         v = np.array(v, dtype=np.float64)
-        scale = float(mu) * ref_norm(f, conj) * ref_norm(v, ambient)
+        scale = float(mu) * one_row_norm(f, conj) * one_row_norm(v, ambient)
         if scale < MU_FLOOR:
             continue
         mus.append(scale)
-        funs.append(f / ref_norm(f, conj))
-        vecs.append(v / ref_norm(v, ambient))
+        funs.append(f / one_row_norm(f, conj))
+        vecs.append(v / one_row_norm(v, ambient))
     n = ambient.dim
     if not mus:
         return np.zeros(0), np.zeros((0, n)), np.zeros((0, n))
@@ -149,7 +140,7 @@ def ref_rotate_pair(rep, i, j, theta):
     new_j = (1.0, -s * f_i + c * f_j, -s * x_i + c * x_j)
     out = [t for k, t in enumerate(terms) if k not in (i, j)]
     for mu, f, v in (new_i, new_j):
-        if ref_norm(f, rep.conjugate) * ref_norm(v, rep.ambient) <= 1e-14 * (mu_i + mu_j):
+        if one_row_norm(f, rep.conjugate) * one_row_norm(v, rep.ambient) <= 1e-14 * (mu_i + mu_j):
             continue
         out.append((mu, f, v))
     return out
@@ -204,11 +195,16 @@ def test_row_norms_match_reference_norm(p):
         rows = rng.standard_normal((6, dim)) * 10.0 ** rng.uniform(-5, 5, size=(6, 1))
         rows[1] = 0.0
         for tag in (lp(p, dim), conjugate_tag(lp(p, dim))):
-            ref = [ref_norm(r, tag) for r in rows]
+            ref = [one_row_norm(r, tag) for r in rows]
             assert np.array_equal(row_norms(rows, tag), ref)
     rows = rng.standard_normal((4, 9))
     for tag in (c0(9), linf(9)):
-        assert np.array_equal(row_norms(rows, tag), [ref_norm(r, tag) for r in rows])
+        assert np.array_equal(row_norms(rows, tag), [one_row_norm(r, tag) for r in rows])
+    for tag in (lp(p, 3), conjugate_tag(lp(p, 3))):
+        ref = [one_row_norm(r, tag) for r in EDGE_ROWS]
+        assert np.array_equal(row_norms(EDGE_ROWS, tag), ref)
+        if tag.p == 2:
+            assert ref == pytest.approx([math.hypot(*r) for r in EDGE_ROWS], rel=1e-15)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
@@ -223,6 +219,12 @@ def test_constructor_matches_per_term_loop(p):
         assert_same(rep, ref)
         swapped = [(mu, v, f) for mu, f, v in ref.raw_terms()]
         assert_same(adjoint_rep(rep), RefRep(rep.conjugate, swapped))
+    # the edge rows as functionals and as vectors, paired with plain draws
+    plain = rng.standard_normal((4, 3))
+    fun, vec = np.vstack([EDGE_ROWS, plain]), np.vstack([plain, EDGE_ROWS])
+    rep = NuclearRep(lp(p, 3), np.ones(8), fun, vec)
+    assert len(rep) == 8
+    assert_same(rep, RefRep(rep.ambient, zip(np.ones(8), fun, vec)))
 
 
 def test_constructor_drops_everything_below_floor():
@@ -524,7 +526,7 @@ def rotated_terms(parent, i, j, theta):
     x_i, x_j = mu_i * v_i, mu_j * v_j
     out = [t for m, t in enumerate(terms) if m not in (i, j)]
     for f, x in ((c * f_i + s * f_j, c * x_i + s * x_j), (-s * f_i + c * f_j, -s * x_i + c * x_j)):
-        if ref_norm(f, parent.conjugate) * ref_norm(x, parent.ambient) > 1e-14 * (mu_i + mu_j):
+        if one_row_norm(f, parent.conjugate) * one_row_norm(x, parent.ambient) > 1e-14 * (mu_i + mu_j):
             out.append((1.0, f, x))
     return out
 
@@ -693,7 +695,7 @@ def ref_family(config, n):
 
     def unit(tag):
         x = rng.standard_normal(n)
-        return x / ref_norm(x, tag)
+        return x / one_row_norm(x, tag)
 
     if config.family == "random_unit":
         return ambient, [(mu[k], unit(conj), unit(ambient)) for k in range(k_terms)], rng
@@ -730,7 +732,7 @@ def ref_pipeline_chain(rep):
     (the identity ``np.eye``), the product of all six stages formed by matmul."""
     triple = ParameterTriple(rep.ambient.p)
     rows_a, rows_b = rep.functionals, rep.vectors
-    if rep.ambient.p < 2:
+    if rep.ambient.p != reduce_to_p_ge_2(rep.ambient.p):
         rows_a, rows_b = rows_b, rows_a
     half = np.power(rep.mu, float(triple.s) / 2.0)
     stages = [
@@ -758,7 +760,7 @@ def test_pipeline_matches_dense_chain(p, family):
         ref = ref_pipeline_chain(rep)
         assert np.array_equal(compose(tuple(pipe.stages.values())).matrix, ref)
         target = assemble(rep).matrix
-        if rep.ambient.p < 2:
+        if rep.ambient.p != reduce_to_p_ge_2(rep.ambient.p):
             target = target.T
         assert pipe.reconstruction_error == float(np.linalg.norm(ref - target))
         assert pipe.target_norm == float(np.linalg.norm(target))

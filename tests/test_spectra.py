@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from nuctrace import (
+    FAMILIES,
+    DecayProfile,
     DenseOperator,
+    ExperimentConfig,
     NuclearRep,
     assemble,
     eigen_spectrum,
+    generate_family,
     ladder_csv,
     lp,
+    quasi_norm_value,
+    s_from_p,
     spectra,
     spectral_report,
     summability_ladder,
 )
+from nuctrace.spectra import RESIDUAL_BUDGET
 
 from conftest import make_rng, random_rep
 
@@ -181,3 +188,21 @@ class TestLadder:
         assert fields[1] == "1.00000000000e+00"
         mantissa, _, exp = fields[2].partition("e")
         assert len(mantissa.split(".")[1]) == 11 and len(exp) == 3
+
+
+@pytest.mark.parametrize("p", (1, "4/3", "3/2", 2, 3, "inf"))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eigenvalue_moduli_summed_within_the_quasi_norm(family, p):
+    # the paper's bound sum |lambda| <= nu_s(T) with s = s_from_p(p), read
+    # on the family's own representation value, an upper bound for nu_s(T)
+    for n in (8, 16, 32, 64):
+        for seed in range(4):
+            config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, n),
+                                      ladder=(n,), seed=seed)
+            rep = generate_family(config, n)
+            nu_s = quasi_norm_value(rep, s_from_p(config.p))
+            abs_sum = spectral_report(rep).abs_sum
+            assert abs_sum <= nu_s + RESIDUAL_BUDGET * (1.0 + nu_s)
+            if family == "diagonal" and config.p == 2:
+                # s = 1 and the eigenvalues are the weights: the bound is attained
+                assert abs_sum / nu_s == 1.0
