@@ -18,8 +18,10 @@ r-summable whenever the weights are s-summable; splitting the last diagonal
 evenly into two ``mu^(s/2)`` factors puts both halves in the Hilbert space
 whenever the same sum is finite.
 
-Each stage is certified with a summing exponent and a recorded upper
-bound.  The three certificate exponents (r, 2, p) always satisfy
+The composed chain is checked against the target built from the same
+rows, the assembled matrix at ``p >= 2`` and its transpose below.  Each
+stage is certified with a summing exponent and a recorded upper bound.
+The three certificate exponents (r, 2, p) always satisfy
 ``1/r + 1/2 + 1/p = 1`` exactly.
 """
 
@@ -31,7 +33,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exponents import Exponent, ParameterTriple, check_holder_chain
-from .nuclear import NuclearRep, assemble
+from .nuclear import NuclearRep
 from .seqspace import (
     DenseOperator,
     DiagonalOperator,
@@ -55,9 +57,6 @@ __all__ = [
 
 # Reconstruction error budget ``tol * (1 + |T|_F)``; also the loosest suite tolerance.
 RECONSTRUCTION_BUDGET = 1e-10
-
-# side of the square tiles in which build_pipeline subtracts the target
-_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class Pipeline:
     triple: ParameterTriple
     mu: np.ndarray                # the rep's read-only weights, shared
     reconstruction_error: float   # |composed - target|_F, computed once
-    target_norm: float            # |target|_F; target = assemble(rep), transposed below 2
+    target_norm: float            # |target|_F; target = the rep's matrix, transposed below 2
 
 
 def build_pipeline(rep: NuclearRep) -> Pipeline:
@@ -97,8 +96,9 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
 
     Below ``p = 2`` the chain factors the transpose on the conjugate tag,
     read from the rep's own rows: A evaluates the vectors, B sends the k-th
-    basis vector to the k-th functional, and the target is the transposed
-    assembled matrix.
+    basis vector to the k-th functional.  The target is built from the rows
+    the chain factors, so it is C-ordered at every p: the assembled matrix
+    at ``p >= 2``, bit for bit, and its transpose below.
     """
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
@@ -106,11 +106,11 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     mu = rep.mu
     k = len(rep)
     s = float(triple.s)
-    target = assemble(rep).matrix
     rows_a, rows_b = rep.functionals, rep.vectors
     tag_y = lp(triple.p, rep.ambient.dim)
     if tag_y != rep.ambient:
-        rows_a, rows_b, target = rows_b, rows_a, target.T
+        rows_a, rows_b = rows_b, rows_a
+    target = (mu[:, None] * rows_b).T @ rows_a
     tag_inf = linf(k)
     tag_r = lp(triple.r, k)
     tag_c0 = c0(k)
@@ -131,27 +131,19 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         "D2": DiagonalOperator(half, tag_2, tag_1),
         "B": DenseOperator(rows_b.T, tag_1, tag_y),
     })
+    # the difference is taken in place in compose's fresh, frozen product
+    product = compose(tuple(stages.values())).matrix
+    product.flags.writeable = True
+    product -= target
     pipe = Pipeline(
         stages,
         triple=triple,
         mu=mu,
-        reconstruction_error=_distance(compose(tuple(stages.values())).matrix, target),
+        reconstruction_error=_frobenius(product),
         target_norm=_frobenius(target),
     )
     _check_pipeline(pipe)
     return pipe
-
-
-def _distance(product: np.ndarray, target: np.ndarray) -> float:
-    """``|product - target|_F``, bitwise, with the difference taken in place
-    in ``product``: the fresh, frozen output of ``compose`` that nothing else
-    holds.  Square tiles keep a transposed target's reads in cache."""
-    product.flags.writeable = True
-    rows, cols = product.shape
-    for i in range(0, rows, _TILE):
-        for j in range(0, cols, _TILE):
-            product[i : i + _TILE, j : j + _TILE] -= target[i : i + _TILE, j : j + _TILE]
-    return _frobenius(product)
 
 
 def _frobenius(a: np.ndarray) -> float:

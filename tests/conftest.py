@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nuctrace import NuclearRep, conjugate_tag, lp, row_norms
+from nuctrace import NuclearRep, assemble, conjugate_tag, lp, reduce_to_p_ge_2, row_norms
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -44,6 +44,20 @@ def random_rep(rng, p, dim, n_terms, decay=1.2) -> NuclearRep:
     fun = draws[:, 0] / row_norms(draws[:, 0], conj)[:, None]
     vec = draws[:, 1] / row_norms(draws[:, 1], ambient)[:, None]
     return NuclearRep(ambient, [(k + 1.0) ** -decay for k in range(n_terms)], fun, vec)
+
+
+def chain_rows(rep):
+    """A's rows, B's rows and the target of ``rep``'s pipeline chain: the
+    functionals, the vectors and ``assemble(rep)`` at p >= 2; below, the
+    two sides trade places and the target is the chain's own product of
+    them, which lies within ``1e-15 |T|_F`` of the assembled transpose."""
+    target = assemble(rep).matrix
+    if rep.ambient.p == reduce_to_p_ge_2(rep.ambient.p):
+        return rep.functionals, rep.vectors, target
+    rows_a, rows_b = rep.vectors, rep.functionals
+    chain = (rep.mu[:, None] * rows_b).T @ rows_a
+    assert np.linalg.norm(chain - target.T) <= 1e-15 * np.linalg.norm(target)
+    return rows_a, rows_b, chain
 
 
 def traced_peak(fn):

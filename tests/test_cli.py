@@ -603,13 +603,13 @@ class TestFactorizeCommand:
     def test_failed_reconstruction_exits_1_and_writes_nothing(
         self, rep_file, tmp_path, capsys, monkeypatch
     ):
-        real = factorization.assemble
+        real = factorization.compose
 
-        def off(rep):
-            op = real(rep)
+        def off(ops):
+            op = real(ops)
             return DenseOperator(op.matrix * (1 + 1e-6), op.domain, op.codomain)
 
-        monkeypatch.setattr(factorization, "assemble", off)
+        monkeypatch.setattr(factorization, "compose", off)
         out = tmp_path / "pipe.json"
         assert cli_main(["factorize", "--rep", str(rep_file), "--out", str(out)]) == 1
         captured = capsys.readouterr()

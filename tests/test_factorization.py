@@ -19,14 +19,13 @@ from nuctrace import (
     generate_family,
     lp,
     pipeline_to_json,
-    reduce_to_p_ge_2,
     rewrite_equivalent,
     run_factorization_suite,
     summing_certificates,
 )
 from nuctrace.nuclear import rotate_pair
 
-from conftest import make_rng, random_rep, traced_peak
+from conftest import chain_rows, make_rng, random_rep, traced_peak
 
 
 def diagonal_rep(mu, p):
@@ -112,21 +111,19 @@ class TestBuildPipeline:
     @pytest.mark.parametrize("p", [1, "4/3", "3/2", 2, 3, np.inf])
     @pytest.mark.parametrize("n, k", [(1, 3), (127, 60), (129, 200), (300, 131)])
     def test_reconstruction_error_has_the_bits_of_the_fresh_difference(self, p, n, k):
-        # n is no multiple of the subtraction tile, so edge tiles are partial
         rep = random_rep(make_rng(30, n), p, n, k)
         pipe = build_pipeline(rep)
-        target = assemble(rep).matrix
-        if rep.ambient.p != reduce_to_p_ge_2(rep.ambient.p):
-            target = target.T
+        _, _, target = chain_rows(rep)
         fresh = compose(tuple(pipe.stages.values())).matrix - target
         assert pipe.reconstruction_error == float(np.linalg.norm(fresh))
+        assert pipe.target_norm == float(np.linalg.norm(target))
 
     @staticmethod
-    def heavy_rep():
+    def heavy_rep(p=3):
         # |target|_F is about 5e202, so its sum of squares overflows a double
         rng = make_rng(31)
         n = 64
-        return NuclearRep(lp(3, n), np.full(n, 1e200), rng.standard_normal((n, n)),
+        return NuclearRep(lp(p, n), np.full(n, 1e200), rng.standard_normal((n, n)),
                           rng.standard_normal((n, n)))
 
     def test_norms_past_the_double_range_stay_finite(self):
@@ -134,18 +131,20 @@ class TestBuildPipeline:
         assert 1e202 < pipe.target_norm < 1e203
         assert 0.0 < pipe.reconstruction_error < 1e-13 * pipe.target_norm
 
-    def test_reconstruction_gate_checks_norms_past_the_double_range(self, monkeypatch):
-        # a target off by 1e-6 relative must fail the gate even where the
-        # plain Frobenius norms of target and difference are both inf
-        real = factorization.assemble
+    @pytest.mark.parametrize("p", [3, "3/2"])
+    def test_reconstruction_gate_checks_norms_past_the_double_range(self, monkeypatch, p):
+        # a product off by 1e-6 relative must fail the gate in either
+        # orientation, even where the plain Frobenius norms of target and
+        # difference are both inf
+        real = factorization.compose
 
-        def off(rep):
-            op = real(rep)
+        def off(ops):
+            op = real(ops)
             return DenseOperator(op.matrix * (1 + 1e-6), op.domain, op.codomain)
 
-        monkeypatch.setattr(factorization, "assemble", off)
+        monkeypatch.setattr(factorization, "compose", off)
         with pytest.raises(RuntimeError, match="does not reconstruct"):
-            build_pipeline(self.heavy_rep())
+            build_pipeline(self.heavy_rep(p))
 
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
@@ -172,12 +171,13 @@ class TestMemory:
     normalized in place, plus the rep's two.  A rewrite gathers its rep's
     two arrays straight from its parent's rows and holds little else
     (merge first sorts the parent's rows in ``_parallel_pairs``).  A
-    pipeline holds the assembled target and the composed product above the
-    rep it shares A and B with, and takes their difference in place in the
-    product; the peak of 3 comes from the k x n temporaries that
-    ``assemble`` and ``compose`` hold next to their products.  Row norms go
-    through one scratch block, so the certificates add almost nothing.  The
-    pipeline file is written straight from the stage arrays.
+    pipeline holds its target, built from the rows it factors, and the
+    composed product above the rep it shares A and B with, and takes their
+    difference in place in the product; the peak of 3 comes from the k x n
+    temporaries that the target and ``compose`` hold next to their
+    products.  Row norms go through one scratch block, so the certificates
+    add almost nothing.  The pipeline file is written straight from the
+    stage arrays.
     """
 
     N = 256

@@ -36,13 +36,13 @@ from nuctrace import (
     row_norms,
     spectral_report,
 )
-from nuctrace.exponents import reduce_to_p_ge_2, s_from_p
+from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights
 from nuctrace.nuclear import MU_FLOOR, _generator, _merge, _parallel_pairs, _split, rotate_pair
 from nuctrace.seqspace import c0, linf
 from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
-from conftest import make_rng, one_row_norm, random_rep
+from conftest import chain_rows, make_rng, one_row_norm, random_rep
 
 EXPONENTS = (1, "4/3", "3/2", 2, 3, "inf")
 
@@ -731,9 +731,7 @@ def ref_pipeline_chain(rep):
     two trading places below p = 2), each diagonal stage a k x k ``np.diag``
     (the identity ``np.eye``), the product of all six stages formed by matmul."""
     triple = ParameterTriple(rep.ambient.p)
-    rows_a, rows_b = rep.functionals, rep.vectors
-    if rep.ambient.p != reduce_to_p_ge_2(rep.ambient.p):
-        rows_a, rows_b = rows_b, rows_a
+    rows_a, rows_b, _ = chain_rows(rep)
     half = np.power(rep.mu, float(triple.s) / 2.0)
     stages = [
         np.diag(np.power(rep.mu, 1.0 - float(triple.s))),
@@ -759,9 +757,7 @@ def test_pipeline_matches_dense_chain(p, family):
         pipe = build_pipeline(rep)
         ref = ref_pipeline_chain(rep)
         assert np.array_equal(compose(tuple(pipe.stages.values())).matrix, ref)
-        target = assemble(rep).matrix
-        if rep.ambient.p != reduce_to_p_ge_2(rep.ambient.p):
-            target = target.T
+        _, _, target = chain_rows(rep)
         assert pipe.reconstruction_error == float(np.linalg.norm(ref - target))
         assert pipe.target_norm == float(np.linalg.norm(target))
 
