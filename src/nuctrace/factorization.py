@@ -19,7 +19,10 @@ evenly into two ``mu^(s/2)`` factors puts both halves in the Hilbert space
 whenever the same sum is finite.
 
 The composed chain is checked against the target built from the same
-rows, the assembled matrix at ``p >= 2`` and its transpose below.  Each
+rows, the assembled matrix at ``p >= 2`` and its transpose below: the first
+five stages compose to A's rows scaled by the weights, and B's product
+with them is formed in blocks of rows and subtracted in place from the
+target's rows, so the check holds one ``n x n`` array, not two.  Each
 stage is certified with a summing exponent and a recorded upper bound.
 The three certificate exponents (r, 2, p) always satisfy
 ``1/r + 1/2 + 1/p = 1`` exactly.
@@ -37,14 +40,13 @@ from .nuclear import NuclearRep
 from .seqspace import (
     DenseOperator,
     DiagonalOperator,
+    SpaceMismatchError,
     c0,
     compose,
-    conjugate_tag,
     linf,
     lp,
     lp_norm,
     operator_to_json,
-    row_norms,
 )
 
 __all__ = [
@@ -57,6 +59,11 @@ __all__ = [
 
 # Reconstruction error budget ``tol * (1 + |T|_F)``; also the loosest suite tolerance.
 RECONSTRUCTION_BUDGET = 1e-10
+
+# B's product is formed in blocks of at most this many bytes of rows, a
+# multiple of 64 rows: one block up to n = 1024, 512 rows at n = 2048.
+# Each block packs the scaled rows again, so smaller blocks cost time.
+_BLOCK_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,10 @@ class Pipeline:
     stages: MappingProxyType[str, DenseOperator | DiagonalOperator]
     triple: ParameterTriple
     mu: np.ndarray                # the rep's read-only weights, shared
-    reconstruction_error: float   # |composed - target|_F, computed once
+    reconstruction_error: float   # |composed - target|_F, computed once, B's rows in blocks
     target_norm: float            # |target|_F; target = the rep's matrix, transposed below 2
+    norm_a: float                 # exact opnorm(A), lp(p) -> sup: largest dual norm of a row
+    norm_b: float                 # exact opnorm(B), lp(1) -> lp(p): largest norm of a column
 
 
 def build_pipeline(rep: NuclearRep) -> Pipeline:
@@ -98,7 +107,11 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     read from the rep's own rows: A evaluates the vectors, B sends the k-th
     basis vector to the k-th functional.  The target is built from the rows
     the chain factors, so it is C-ordered at every p: the assembled matrix
-    at ``p >= 2``, bit for bit, and its transpose below.
+    at ``p >= 2``, bit for bit, and its transpose below.  After its norm
+    is taken, B's product with the first five stages is subtracted from it
+    in place, block by block; up to n = 1024 that is one block, the whole
+    product's arithmetic, and past it the error can move in its last bits.
+    The operator norms of A and B are the rep's :meth:`~NuclearRep.peak_norms`.
     """
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
@@ -107,9 +120,11 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     k = len(rep)
     s = float(triple.s)
     rows_a, rows_b = rep.functionals, rep.vectors
+    norm_a, norm_b = rep.peak_norms()
     tag_y = lp(triple.p, rep.ambient.dim)
     if tag_y != rep.ambient:
         rows_a, rows_b = rows_b, rows_a
+        norm_a, norm_b = norm_b, norm_a
     target = (mu[:, None] * rows_b).T @ rows_a
     tag_inf = linf(k)
     tag_r = lp(triple.r, k)
@@ -131,16 +146,26 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         "D2": DiagonalOperator(half, tag_2, tag_1),
         "B": DenseOperator(rows_b.T, tag_1, tag_y),
     })
-    # the difference is taken in place in compose's fresh, frozen product
-    product = compose(tuple(stages.values())).matrix
-    product.flags.writeable = True
-    product -= target
+    target_norm = _frobenius(target)
+    d2, b = stages["D2"], stages["B"]
+    if d2.codomain != b.domain:  # compose checks the junctions up to D2
+        raise SpaceMismatchError(f"junction 4: stage 4 ends in {d2.codomain} "
+                                 f"but stage 5 starts from {b.domain}")
+    scaled = compose(tuple(stages.values())[:-1]).matrix  # A's rows scaled, k x n
+    n = target.shape[0]
+    step = max(64, _BLOCK_BYTES // (8 * n) // 64 * 64)
+    for i in range(0, n, step):
+        rows = target[i : i + step]
+        np.subtract(b.matrix[i : i + step] @ scaled, rows, out=rows)
+    del scaled
     pipe = Pipeline(
         stages,
         triple=triple,
         mu=mu,
-        reconstruction_error=_frobenius(product),
-        target_norm=_frobenius(target),
+        reconstruction_error=_frobenius(target),  # target now holds the difference
+        target_norm=target_norm,
+        norm_a=norm_a,
+        norm_b=norm_b,
     )
     _check_pipeline(pipe)
     return pipe
@@ -181,11 +206,7 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
     certified.
     """
     triple = pipe.triple
-    a, d1ms, d1, b = (pipe.stages[name] for name in ("A", "D_one_minus_s", "D1", "B"))
-    # exact operator norms: lp(p) -> sup is the largest dual norm of a row
-    # of A, lp(1) -> lp(p) the largest norm of a column of B
-    norm_a = float(row_norms(a.matrix, conjugate_tag(a.domain)).max())
-    norm_b = float(row_norms(b.matrix.T, b.codomain).max())
+    d1ms, d1 = pipe.stages["D_one_minus_s"], pipe.stages["D1"]
     # each diagonal in its stage's codomain, lp(r) and lp(2)
     d1ms_r = lp_norm(d1ms.diag, d1ms.codomain)
     d_l2 = lp_norm(d1.diag, d1.codomain)
@@ -194,7 +215,7 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
         SummingCertificate(
             "U3",
             triple.r,
-            d1ms_r * norm_a,
+            d1ms_r * pipe.norm_a,
             "lr_norm(mu^(1-s)) * opnorm(A); sup of the diagonal when r = inf",
         ),
         SummingCertificate(
@@ -206,7 +227,7 @@ def summing_certificates(pipe: Pipeline) -> list[SummingCertificate]:
         SummingCertificate(
             "U1",
             triple.p,
-            norm_b * d_l2,
+            pipe.norm_b * d_l2,
             "opnorm(B) * l2_norm(mu^(s/2)); order-bounded upper bound, "
             "sharpness not certified",
         ),

@@ -172,6 +172,15 @@ class NuclearRep:
         """Row k holds the coordinates of the k-th unit vector."""
         return self._vec
 
+    def peak_norms(self) -> tuple[float, float]:
+        """The largest norm of a functional, in ``conjugate``, and of a
+        vector, in ``ambient``.  A marked row's norm is exactly 1.0 from its
+        own bits, so only the unmarked rows are normed again."""
+        take = np.arange(len(self))
+        peak_f = _take_norms(self._fun, self.conjugate, take, self._unit_fun).max(initial=0.0)
+        peak_v = _take_norms(self._vec, self.ambient, take, self._unit_vec).max(initial=0.0)
+        return float(peak_f), float(peak_v)
+
     def __repr__(self) -> str:
         return f"NuclearRep({self.ambient}, {len(self)} terms, s={self.order})"
 

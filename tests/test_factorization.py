@@ -146,6 +146,44 @@ class TestBuildPipeline:
         with pytest.raises(RuntimeError, match="does not reconstruct"):
             build_pipeline(self.heavy_rep(p))
 
+    @pytest.mark.parametrize("p", ["3/2", 2, np.inf])
+    def test_difference_in_several_blocks(self, monkeypatch, p):
+        # n = 300 runs as one block; at 128 rows a block it runs as three,
+        # 128 + 128 + 44 rows.  The target's norm is taken before any block.
+        # Each entry of a computed product of B (n x k) and the scaled rows
+        # S (k x n) lies within gamma_k (|B||S|)_ij of the exact one,
+        # gamma_k = k eps / (1 - k eps), so the two products differ by at
+        # most 2 gamma_k |B|_F |S|_F in Frobenius norm; the subtraction
+        # rounds each difference d once more (eps |d|), and the norm of n^2
+        # entries is good to gamma_(n^2) relative.
+        n, k = 300, 131
+        rep = random_rep(make_rng(32, n), p, n, k)
+        whole = build_pipeline(rep)
+        monkeypatch.setattr(factorization, "_BLOCK_BYTES", 128 * n * 8)
+        blocked = build_pipeline(rep)
+        assert blocked.target_norm == whole.target_norm
+        eps = np.finfo(np.float64).eps / 2
+
+        def gamma(m):
+            return m * eps / (1 - m * eps)
+
+        stages = tuple(whole.stages.values())
+        scaled = compose(stages[:-1]).matrix
+        errs = blocked.reconstruction_error + whole.reconstruction_error
+        bound = (2 * gamma(k) * np.linalg.norm(stages[-1].matrix) * np.linalg.norm(scaled)
+                 + (eps + gamma(n * n)) * errs)
+        assert abs(blocked.reconstruction_error - whole.reconstruction_error) <= bound
+        # a product off by 1e-6 relative still fails the gate block by block
+        real = factorization.compose
+
+        def off(ops):
+            op = real(ops)
+            return DenseOperator(op.matrix * (1 + 1e-6), op.domain, op.codomain)
+
+        monkeypatch.setattr(factorization, "compose", off)
+        with pytest.raises(RuntimeError, match="does not reconstruct"):
+            build_pipeline(rep)
+
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
             build_pipeline(NuclearRep(lp(2, 3), [], [], []))
@@ -171,13 +209,15 @@ class TestMemory:
     normalized in place, plus the rep's two.  A rewrite gathers its rep's
     two arrays straight from its parent's rows and holds little else
     (merge first sorts the parent's rows in ``_parallel_pairs``).  A
-    pipeline holds its target, built from the rows it factors, and the
-    composed product above the rep it shares A and B with, and takes their
-    difference in place in the product; the peak of 3 comes from the k x n
-    temporaries that the target and ``compose`` hold next to their
-    products.  Row norms go through one scratch block, so the certificates
-    add almost nothing.  The pipeline file is written straight from the
-    stage arrays.
+    pipeline holds its target, built from the rows it factors, above the rep
+    it shares A and B with, next to ``compose``'s k x n scaled rows, and
+    subtracts B's product with them from the target's rows block by block,
+    each block at most ``_BLOCK_BYTES``.  Up to n = 1024 that is one n x n
+    block, so the peak at k = n is 3: the target, the scaled rows and the
+    product; at n = 2048 a block is a quarter of n^2, and with few terms
+    the scaled rows are small too.  Row norms go through one scratch block,
+    so the certificates add almost nothing.  The pipeline file is written
+    straight from the stage arrays.
     """
 
     N = 256
@@ -193,6 +233,20 @@ class TestMemory:
         # p = 3/2: A and B are the rep's own rows, read transposed
         _, peak = traced_peak(lambda: build_pipeline(rep))
         assert peak <= 3.25 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", 2, INF])
+    def test_pipeline_peak_with_few_terms(self, p):
+        # 1.28 n^2 doubles at k = 64, n = 2048: the target, the 64 scaled
+        # rows and one 512-row block of the product (2.03 when the whole
+        # product was formed next to the target)
+        n, k = 2048, 64
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, k),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        rep = generate_family(cfg, n)
+        build_pipeline(rep)  # first-call allocations are not the path's
+        _, peak = traced_peak(lambda: build_pipeline(rep))
+        assert len(rep) == k
+        assert peak <= 1.53 * n * n * 8
 
     def test_rotation_family_peak(self):
         # 4.12 n^2 doubles: the draws are freed before the 8 rotations, and

@@ -353,6 +353,26 @@ class TestUnitMarks:
             for rows, unit, tag in ((a.functionals, a._unit_fun, a.conjugate),
                                     (a.vectors, a._unit_vec, a.ambient)):
                 assert np.all(row_norms(rows[unit], tag) == 1.0)
+            assert a.peak_norms() == (float(row_norms(a.functionals, a.conjugate).max()),
+                                      float(row_norms(a.vectors, a.ambient).max()))
+
+    @pytest.mark.parametrize("p", ["3/2", "inf"])
+    def test_peak_norms_norm_only_unmarked_rows(self, monkeypatch, p):
+        n = 256
+        config = ExperimentConfig(p=p, family="shared_functional_rotations",
+                                  decay=DecayProfile(1.0, n), ladder=(n,), seed=7)
+        rep = generate_family(config, n)
+        normed = {rep.ambient: 0, rep.conjugate: 0}
+
+        def counted(rows, tag, at=None):
+            normed[tag] += len(rows) if at is None else len(at)
+            return row_norms(rows, tag, at)
+
+        monkeypatch.setattr(nuclear, "row_norms", counted)
+        rep.peak_norms()
+        assert normed[rep.conjugate] == np.count_nonzero(~rep._unit_fun)
+        assert normed[rep.ambient] == np.count_nonzero(~rep._unit_vec)
+        assert normed[rep.ambient] + normed[rep.conjugate] < n
 
     def test_rotate_norms_few_rows(self, monkeypatch):
         # norming every row again would take all k rows and the two rotated
