@@ -18,6 +18,7 @@ bitwise stable across thread counts): wall-clock metadata goes to a separate
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exponents import Exponent, check_holder_chain, reduce_to_p_ge_2, s_from_p
+from .exponents import Exponent, s_from_p
 from .factorization import RECONSTRUCTION_BUDGET, build_pipeline, summing_certificates
 from .nuclear import (
     _REWRITE_SCHEMES,
@@ -145,7 +146,7 @@ class ExperimentConfig:
                 f"cases_per_level must be a positive integer, got {self.cases_per_level!r}"
             )
         if self.family == "diagonal":
-            gaps = _diagonal_gaps(self)
+            gaps = _diagonal_gaps(self.p, self.decay, self.ladder)
             if not all(later < earlier for earlier, later in zip(gaps, gaps[1:])):
                 raise ValueError("config ladder: the gaps between the diagonal family's level "
                                  f"sums must strictly shrink, got "
@@ -194,26 +195,27 @@ def _case_seed(seed: int, case_index: int) -> int:
 # --- generators ---------------------------------------------------------------
 
 
-def _decay_weights(config: ExperimentConfig, k_terms: int) -> np.ndarray:
-    s = s_from_p(config.p)
-    power = float(s.reciprocal) * config.decay.exponent_multiplier
+def _decay_weights(p: Exponent, decay: DecayProfile, k_terms: int) -> np.ndarray:
+    power = float(s_from_p(p).reciprocal) * decay.exponent_multiplier
     return np.arange(1, k_terms + 1, dtype=np.float64) ** (-power)
 
 
-def _diagonal_gaps(config: ExperimentConfig) -> list[float]:
+@functools.cache
+def _diagonal_gaps(p: Exponent, decay: DecayProfile, ladder: tuple[int, ...]) -> tuple[float, ...]:
     """The gaps between the level sums ``S_N`` that ``run_ladder_suite``
     reads on the ``diagonal`` family.  Its spectrum at level ``N`` is
     exactly the kept decay weights (those of at least ``MU_FLOOR``), padded
     with zeros to ``N``, and is summed here in that order, as
-    ``spectral_report`` sums ``abs_sum``, so each gap is the suite's own."""
+    ``spectral_report`` sums ``abs_sum``, so each gap is the suite's own.
+    The seed plays no part, so the suites' per-case configs reuse one result."""
     sums = []
-    for n in config.ladder:
-        mu = _decay_weights(config, min(config.decay.term_count, n))
+    for n in ladder:
+        mu = _decay_weights(p, decay, min(decay.term_count, n))
         spectrum = np.zeros(n)
         kept = mu[mu >= MU_FLOOR]
         spectrum[: kept.size] = kept
         sums.append(float(spectrum.sum()))
-    return [b - a for a, b in zip(sums, sums[1:])]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
 def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
@@ -225,7 +227,7 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     pairs of terms sharing a functional and stirs them with seeded rotations.
     """
     k_terms = min(config.decay.term_count, n)
-    mu = _decay_weights(config, k_terms)
+    mu = _decay_weights(config.p, config.decay, k_terms)
     ambient = lp(config.p, n)
     conj = conjugate_tag(ambient)
     rng = _generator(config.seed, n)
@@ -291,6 +293,14 @@ class SuiteReport:
         }
 
 
+def _gated(row: dict, *gates: tuple[float, float]) -> dict:
+    """Set ``row``'s status from its ``(observed, budget)`` gates: ``pass``
+    when every observed value lies within its budget.  A NaN compares
+    false, so it fails."""
+    row["status"] = "pass" if all(observed <= budget for observed, budget in gates) else "fail"
+    return row
+
+
 def _finish(suite: str, config: ExperimentConfig, cases: list, started: float) -> SuiteReport:
     """Tally the cases, write the report files and return the report."""
     failed = sum(1 for c in cases if c.get("status") == "fail")
@@ -353,10 +363,6 @@ def run_trace_suite(config: ExperimentConfig) -> SuiteReport:
     """Trace invariance under rewrite chains, plus the spectral residual gate."""
 
     def one_case(i: int, level: int, case_cfg: ExperimentConfig, rep: NuclearRep) -> dict:
-        mu_sum = float(rep.mu.sum())
-        trace_budget = config.tolerances.trace * (1.0 + mu_sum)
-        residual_budget = RESIDUAL_BUDGET * (1.0 + mu_sum)
-
         t0 = nuclear_trace(rep)
         # distinct from every family stream (seed, N), N <= MAX_DIM
         chain_rng = _generator(case_cfg.seed, MAX_DIM + 1)
@@ -364,43 +370,34 @@ def run_trace_suite(config: ExperimentConfig) -> SuiteReport:
         for step_rep in _rewrite_chain(rep, REWRITE_STEPS, chain_rng):
             drift = max(drift, abs(nuclear_trace(step_rep) - t0))
         residual = spectral_report(rep).lidskii_residual
-        ok = drift <= trace_budget and residual <= residual_budget
-        return {
-            "case": i,
-            "level": level,
-            "terms": len(rep),
-            "trace": t0,
-            "max_drift": drift,
-            "residual": residual,
-            "status": "pass" if ok else "fail",
-        }
+        scale = 1.0 + float(rep.mu.sum())
+        row = {"case": i, "level": level, "terms": len(rep), "trace": t0,
+               "max_drift": drift, "residual": residual}
+        return _gated(row, (drift, config.tolerances.trace * scale),
+                      (residual, RESIDUAL_BUDGET * scale))
 
     return _run_cases("trace", config, one_case)
 
 
 def run_factorization_suite(config: ExperimentConfig) -> SuiteReport:
-    """Pipeline reconstruction and exact exponent chains, case by case."""
+    """Pipeline reconstruction within the configured tolerance, case by case.
+
+    ``summing_certificates`` checks the exponent chain and raises on a
+    broken one, so every row records ``chain_exact`` as true.
+    ``build_pipeline`` raises above ``RECONSTRUCTION_BUDGET``, so at that
+    default tolerance (``1e-10``) a defect ends the suite with exit 1 and
+    no ``fail`` row is written; only a tighter tolerance writes one.
+    """
 
     def one_case(i: int, level: int, case_cfg: ExperimentConfig, rep: NuclearRep) -> dict:
-        p = rep.ambient.p
-        row: dict = {"case": i, "level": level, "p": str(p),
-                     "built_on_p": str(reduce_to_p_ge_2(p))}
         pipe = build_pipeline(rep)
-        recon_err = pipe.reconstruction_error
         budget = config.tolerances.reconstruction * (1.0 + pipe.target_norm)
-        certs = summing_certificates(pipe)
-        chain_exact = check_holder_chain([c.exponent for c in certs])
-        row.update(
-            {
-                "terms": len(rep),
-                "reconstruction_error": recon_err,
-                "reconstruction_budget": budget,
-                "chain_exact": bool(chain_exact),
-                "certificates": [c.as_dict() for c in certs],
-                "status": "pass" if (recon_err <= budget and chain_exact) else "fail",
-            }
-        )
-        return row
+        row = {"case": i, "level": level, "p": str(rep.ambient.p),
+               "built_on_p": str(pipe.triple.p), "terms": len(rep),
+               "reconstruction_error": pipe.reconstruction_error,
+               "reconstruction_budget": budget, "chain_exact": True,
+               "certificates": [c.as_dict() for c in summing_certificates(pipe)]}
+        return _gated(row, (pipe.reconstruction_error, budget))
 
     return _run_cases("factorize", config, one_case)
 
@@ -412,15 +409,15 @@ def run_ladder_suite(config: ExperimentConfig) -> SuiteReport:
         raise ValueError("ladder suite needs at least three levels")
 
     rows = summability_ladder(lambda n: generate_family(config, n), config.ladder)
-    cases = []
-    for row in rows:
-        ok = row.residual <= RESIDUAL_BUDGET * (1.0 + row.abs_sum)
-        cases.append({**dataclasses.asdict(row), "status": "pass" if ok else "fail"})
+    cases = [_gated(dataclasses.asdict(row), (row.residual, RESIDUAL_BUDGET * (1.0 + row.abs_sum)))
+             for row in rows]
     gaps = [b.abs_sum - a.abs_sum for a, b in zip(rows, rows[1:])]
     if config.family == "diagonal":
         # S_N is a monotone partial sum only for the diagonal family, where
-        # strict gap decrease is a theorem; stochastic families fluctuate
-        # and are gated by their frozen tail thresholds instead
+        # strict gap decrease is a theorem.  The stochastic families' S_N
+        # fluctuate and no suite gates them, so their gap_report row always
+        # reads pass; tail thresholds exist only in the acceptance tests, for
+        # the shipped rotation config (suite tail gates: ROADMAP item 15)
         shrinking = all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
         cases.append(
             {

@@ -14,6 +14,7 @@ from nuctrace import (
     ExperimentConfig,
     NuclearRep,
     Tolerances,
+    cli_main,
     config_from_json,
     config_to_json,
     conjugate_tag,
@@ -175,7 +176,7 @@ class TestGenerateFamily:
         conj = conjugate_tag(ambient)
         draws = nuclear._generator(cfg.seed, 16).standard_normal((16, 2, 16))
         fun, vec = draws[:, 0], draws[:, 1]
-        want = NuclearRep(ambient, harness._decay_weights(cfg, 16),
+        want = NuclearRep(ambient, harness._decay_weights(cfg.p, cfg.decay, 16),
                           fun / row_norms(fun, conj)[:, None],
                           vec / row_norms(vec, ambient)[:, None])
         assert np.array_equal(rep.mu, want.mu)
@@ -321,6 +322,42 @@ def test_every_suite_row_is_gated(tmp_path, family):
         assert {c["status"] for c in data["cases"]} <= {"pass", "fail"}
         assert data["passed"] + data["failed"] == data["total"] == len(data["cases"])
     assert (tmp_path / "new" / family / "ladder.csv").is_file()
+
+
+@pytest.mark.parametrize("suite, tolerances, residual_budget", [
+    ("trace", {"trace": 1e-300}, None),  # drift
+    ("trace", {}, -1.0),  # spectral residual
+    ("factorize", {"reconstruction": 1e-300}, None),  # reconstruction
+    ("ladder", {}, -1.0),  # spectral residual per level
+])
+def test_every_suite_gate_can_fail(tmp_path, monkeypatch, suite, tolerances, residual_budget):
+    # each gate alone turns every row it reads to fail, the tally counts
+    # them, and the CLI exits 1; the ladder's gap_report row is not gated
+    if residual_budget is not None:
+        monkeypatch.setattr(harness, "RESIDUAL_BUDGET", residual_budget)
+    cfg = small_config(tmp_path / "lib", tolerances=Tolerances(**tolerances))
+    run = {"trace": run_trace_suite, "factorize": run_factorization_suite,
+           "ladder": run_ladder_suite}[suite]
+    report = run(cfg)
+    gated = [c for c in report.cases if "check" not in c]
+    assert len(gated) == (3 if suite == "ladder" else 6)
+    assert all(c["status"] == "fail" for c in gated)
+    assert report.failed == len(gated)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({**config_to_json(cfg), "out_dir": str(tmp_path / "cli")}))
+    assert cli_main(["suite", "--config", str(config_file), "--only", suite]) == 1
+
+
+def test_diagonal_gaps_are_computed_once_per_suite(tmp_path):
+    # the per-case configs differ only in their seed, which the ladder rule
+    # never reads, so the suite reuses the gaps its config computed
+    harness._diagonal_gaps.cache_clear()
+    cfg = small_config(tmp_path, family="diagonal", decay=DecayProfile(1.1, 8),
+                       ladder=(4, 6, 8), cases_per_level=3)
+    report = run_trace_suite(cfg)
+    assert len(report.cases) == 9 and report.failed == 0
+    info = harness._diagonal_gaps.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 class TestDeterminismAndParallelism:

@@ -688,7 +688,7 @@ def test_parallel_pairs_after_many_splits(p):
 def ref_family(config, n):
     """The per-term generator loop for the two random families."""
     k_terms = min(config.decay.term_count, n)
-    mu = _decay_weights(config, k_terms)
+    mu = _decay_weights(config.p, config.decay, k_terms)
     ambient = lp(config.p, n)
     conj = conjugate_tag(ambient)
     rng = _generator(config.seed, n)
