@@ -66,6 +66,9 @@ FAMILIES = ("diagonal", "random_unit", "shared_functional_rotations")
 
 REWRITE_STEPS = 10
 
+# Bytes of the buffer through which ``random_unit`` draws its rows.
+_DRAW_BYTES = 2**16
+
 
 def _is_int(value) -> bool:
     """The integer rule of the config fields: a float, a string or a boolean
@@ -225,6 +228,8 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     draws standard-normal coordinates and normalizes vector and functional in
     the ambient norm and its conjugate; ``shared_functional_rotations`` builds
     pairs of terms sharing a functional and stirs them with seeded rotations.
+    The row arrays are this function's own: each is normalized in place and
+    handed to the rep uncopied (``NuclearRep``'s ``_owned``).
     """
     k_terms = min(config.decay.term_count, n)
     mu = _decay_weights(config.p, config.decay, k_terms)
@@ -233,19 +238,23 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     rng = _generator(config.seed, n)
 
     if config.family == "diagonal":
-        eye = np.eye(n)[:k_terms]
-        return NuclearRep(ambient, mu, eye, eye)
+        return NuclearRep(ambient, mu, np.eye(k_terms, n), np.eye(k_terms, n), _owned=True)
 
-    def unit_rows(rows, tag):  # in place: the draws are this function's own
+    def unit_rows(rows, tag):
         rows /= row_norms(rows, tag)[:, None]
         return rows
 
     if config.family == "random_unit":
-        # drawn in term order f_0, v_0, f_1, v_1, ...
-        draws = rng.standard_normal((k_terms, 2, n))
-        return NuclearRep(
-            ambient, mu, unit_rows(draws[:, 0], conj), unit_rows(draws[:, 1], ambient)
-        )
+        # drawn in term order f_0, v_0, f_1, v_1, ..., a block of terms at a
+        # time through one reused buffer, straight into the two row arrays
+        fun, vec = np.empty((k_terms, n)), np.empty((k_terms, n))
+        step = max(1, _DRAW_BYTES // (16 * n))
+        block = np.empty((min(step, k_terms), 2, n))
+        for i in range(0, k_terms, step):
+            draws = rng.standard_normal(out=block[: min(step, k_terms - i)])
+            fun[i : i + step], vec[i : i + step] = draws[:, 0], draws[:, 1]
+        return NuclearRep(ambient, mu, unit_rows(fun, conj), unit_rows(vec, ambient),
+                          _owned=True)
 
     # shared_functional_rotations: term pairs (2m, 2m + 1) share a functional,
     # drawn in the order f, v_2m, v_2m+1 per pair (f, v for a last odd term)
@@ -253,9 +262,9 @@ def generate_family(config: ExperimentConfig, n: int) -> NuclearRep:
     draws = rng.standard_normal((k_terms + (k_terms + 1) // 2, n))
     fun = unit_rows(draws[3 * (terms // 2)], conj)
     vec = unit_rows(draws[3 * (terms // 2) + 1 + terms % 2], ambient)
-    del draws
-    rep = NuclearRep(ambient, mu, fun, vec)
-    del fun, vec  # the rep holds its own rows; free the draws before the rotations
+    del draws  # free the draws before the rotations
+    rep = NuclearRep(ambient, mu, fun, vec, _owned=True)
+    del fun, vec  # else they hold the first rep's rows through the rotations
     if len(rep) >= 2:
         for _ in range(min(8, len(rep))):
             rep = rewrite_equivalent(rep, "rotate", int(rng.integers(2**63)))

@@ -78,6 +78,13 @@ class NuclearRep:
         (arrays or nested lists).  Row norms are absorbed into ``mu``; the
         inputs are not modified.
 
+    The library's own callers, which build the two row arrays only to make
+    a rep of them, pass ``_owned=True`` to hand them over: when they are
+    two distinct, writeable, C-contiguous float64 arrays and the terms keep
+    their order (none reordered or dropped), the rep divides and stores
+    them where they lie, read-only, instead of gathering a copy.  Every
+    norm and check is the same either way.
+
     The order ``s`` is the curve value ``s_from_p(ambient.p)``, stored as
     ``order``; ``quasi_norm_value`` takes any other order explicitly.
 
@@ -91,7 +98,7 @@ class NuclearRep:
     __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec", "_unit_fun",
                  "_unit_vec")
 
-    def __init__(self, ambient: SpaceTag, mu, functionals, vectors):
+    def __init__(self, ambient: SpaceTag, mu, functionals, vectors, *, _owned=False):
         if ambient.kind != "lp":
             raise ValueError(f"ambient space must be an lp tag, got {ambient}")
         self.ambient = ambient
@@ -104,12 +111,16 @@ class NuclearRep:
         k = mu.shape[0]
         fun = _rows(functionals, k, self.conjugate)
         vec = _rows(vectors, k, ambient)
-        self._store(mu, fun, vec, np.arange(k))
+        owned = _owned and not np.may_share_memory(fun, vec) and all(
+            a.flags.c_contiguous and a.flags.writeable for a in (fun, vec))
+        self._store(mu, fun, vec, np.arange(k), owned=owned)
 
-    def _store(self, mu, fun, vec, take, unit=None, fresh=None):
+    def _store(self, mu, fun, vec, take, unit=None, fresh=None, owned=False):
         """Check and store the terms of weights ``mu`` whose rows are
         ``fun[take]`` followed by the fresh functionals (and the same for
-        ``vec``); ``fun`` and ``vec`` are only read.
+        ``vec``); ``fun`` and ``vec`` are only read, unless ``owned`` hands
+        them over and the stored terms are their rows in order, which are
+        then divided and stored in place.
 
         ``unit`` is None for raw input, whose rows are all normed, or a
         parent's pair of marks: its rows in ``fun`` and ``vec`` whose norm
@@ -148,8 +159,9 @@ class NuclearRep:
         nth = order_idx[at] - t
         self._mu = scale[order_idx]
         norm_f, norm_v = norm_f[order_idx], norm_v[order_idx]
-        self._fun = _unit_rows(fun, src, at, fresh_fun[nth], norm_f)
-        self._vec = _unit_rows(vec, src, at, fresh_vec[nth], norm_v)
+        in_place = owned and at.size == 0 and np.array_equal(src, np.arange(fun.shape[0]))
+        self._fun = _unit_rows(fun, src, at, fresh_fun[nth], norm_f, in_place)
+        self._vec = _unit_rows(vec, src, at, fresh_vec[nth], norm_v, in_place)
         self._unit_fun, self._unit_vec = norm_f == 1.0, norm_v == 1.0
         for a in (self._mu, self._fun, self._vec, self._unit_fun, self._unit_vec):
             a.flags.writeable = False
@@ -209,9 +221,10 @@ def _take_norms(rows: np.ndarray, tag: SpaceTag, take: np.ndarray,
 
 
 def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndarray,
-               norms: np.ndarray) -> np.ndarray:
+               norms: np.ndarray, in_place: bool) -> np.ndarray:
     """``rows[src]`` with the rows ``fresh`` written at positions ``at``,
-    each row divided by its entry of ``norms``.
+    each row divided by its entry of ``norms``; ``in_place`` says that this
+    is ``rows`` itself, in order, and divides ``rows`` instead of a copy.
 
     ``x / 1.0 == x`` for finite ``x``, so rows of norm exactly 1.0 (most
     rows of an existing rep) are only gathered.  Raw input, where more than
@@ -219,8 +232,11 @@ def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndar
     is faster there; otherwise only those rows are divided, gathered in
     blocks of at most ``_DIVIDE_BYTES``.
     """
-    out = rows[src]
-    out[at] = fresh
+    if in_place:
+        out = rows
+    else:
+        out = rows[src]
+        out[at] = fresh
     todo = np.flatnonzero(norms != 1.0)
     if 3 * todo.size > out.shape[0]:
         out /= norms[:, None]
@@ -474,4 +490,4 @@ def rep_from_json(data) -> NuclearRep:
         mu, fun, vec = (np.array(x, dtype=np.float64) for x in (mu, fun, vec))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed representation: {exc}") from exc
-    return NuclearRep(ambient, mu, fun, vec)
+    return NuclearRep(ambient, mu, fun, vec, _owned=True)

@@ -129,7 +129,8 @@ def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, np.ndarray]:
     ev, solved = np.zeros(0), np.zeros((0, 0))
     if r > 0:
         fun = rep.functionals if r == k else rep.functionals[heads]
-        m = (fun @ rep.vectors.T) * rep.mu[None, :]
+        m = fun @ rep.vectors.T
+        m *= rep.mu[None, :]
         if r < k:  # column h sums the columns of the terms in group h
             by_group = np.argsort(labels, kind="stable")
             starts = np.searchsorted(labels[by_group], np.arange(r))

@@ -19,8 +19,11 @@ from nuctrace import (
     generate_family,
     lp,
     pipeline_to_json,
+    rep_from_json,
+    rep_to_json,
     rewrite_equivalent,
     run_factorization_suite,
+    run_ladder_suite,
     summing_certificates,
 )
 from nuctrace.nuclear import rotate_pair
@@ -205,10 +208,13 @@ class TestMemory:
     """Peaks of the factorize path at k = n, counted in n^2 doubles.
 
     numpy reports its buffers to tracemalloc, so the counts do not depend
-    on the allocator.  A family holds its two row arrays, drawn once and
-    normalized in place, plus the rep's two.  A rewrite gathers its rep's
-    two arrays straight from its parent's rows and holds little else
-    (merge first sorts the parent's rows in ``_parallel_pairs``).  A
+    on the allocator.  A family's two row arrays are normalized in place
+    and handed to the rep uncopied, next to ``row_norms``' 256 KiB scratch
+    (0.5 n^2 doubles at n = 256) and, for ``random_unit``, the 64 KiB buffer
+    it draws through; a loaded rep keeps the loader's arrays.  A rewrite
+    gathers its rep's two arrays straight from its parent's rows and holds
+    little else (merge first sorts the parent's rows in
+    ``_parallel_pairs``).  A
     pipeline holds its target, built from the rows it factors, above the rep
     it shares A and B with, next to ``compose``'s k x n scaled rows, and
     subtracts B's product with them from the target's rows block by block,
@@ -229,10 +235,51 @@ class TestMemory:
         generate_family(cfg, n)  # first-call allocations are not the path's
         rep, peak = traced_peak(lambda: generate_family(cfg, n))
         assert len(rep) == n
-        assert peak <= 4.25 * n * n * 8
+        assert peak <= 3.03 * n * n * 8  # 2.78; 4.17 when the rep copied the draws
         # p = 3/2: A and B are the rep's own rows, read transposed
         _, peak = traced_peak(lambda: build_pipeline(rep))
         assert peak <= 3.25 * n * n * 8
+
+    @pytest.mark.parametrize("family,p,bound", [
+        # 2.65 n^2 doubles; 4.17 and 4.05 when the rep copied the draws
+        ("random_unit", 2, 2.90), ("random_unit", INF, 2.90),
+        # 2.53; 3.05 with an n x n identity behind both sides and two copies
+        ("diagonal", 2, 2.78),
+    ])
+    def test_draw_peak(self, family, p, bound):
+        n = self.N
+        cfg = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        generate_family(cfg, n)  # first-call allocations are not the path's
+        rep, peak = traced_peak(lambda: generate_family(cfg, n))
+        assert len(rep) == n
+        assert peak <= bound * n * n * 8
+
+    def test_rep_from_json_peak(self):
+        # 2.66 n^2 doubles: the rep keeps the loader's two row arrays; 4.18
+        # when it copied them
+        n = self.N
+        cfg = ExperimentConfig(p="3/2", family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        doc = rep_to_json(generate_family(cfg, n))
+        rep_from_json(doc)  # first-call allocations are not the path's
+        rep, peak = traced_peak(lambda: rep_from_json(doc))
+        assert len(rep) == n
+        assert peak <= 2.91 * n * n * 8
+
+    @pytest.mark.parametrize("p,bound", [("3/2", 2.03), (2, 1.91), (INF, 1.91)])
+    def test_ladder_suite_peak_with_few_terms(self, p, bound, tmp_path):
+        # 1.78 n^2 doubles at p = 3/2 and 1.66 at p = 2 and inf, with 128
+        # terms at the top level n = 256; 2.17, 2.17 and 2.04 when each draw
+        # was copied by its rep
+        n = self.N
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n // 2),
+                               ladder=(n // 4, n // 2, n), seed=7, out_dir=str(tmp_path),
+                               cases_per_level=1)
+        run_ladder_suite(cfg)  # first-call allocations are not the path's
+        report, peak = traced_peak(lambda: run_ladder_suite(cfg))
+        assert report.failed == 0
+        assert peak <= bound * n * n * 8
 
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_pipeline_peak_with_few_terms(self, p):

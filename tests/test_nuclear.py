@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nuctrace.harness as harness
 import nuctrace.nuclear as nuclear
 from nuctrace import (
     FAMILIES,
@@ -15,6 +16,7 @@ from nuctrace import (
     SchemeNotApplicableError,
     adjoint_rep,
     assemble,
+    conjugate_tag,
     generate_family,
     lp,
     nuclear_trace,
@@ -25,7 +27,7 @@ from nuctrace import (
     row_norms,
     s_from_p,
 )
-from nuctrace.harness import _rewrite_chain
+from nuctrace.harness import _decay_weights, _rewrite_chain
 from nuctrace.nuclear import _generator, rotate_pair
 
 from conftest import make_rng, random_rep
@@ -314,8 +316,8 @@ def unmarked_store():
     so norms every row again, as the constructor does on raw input."""
     store = NuclearRep._store
 
-    def store_without_marks(self, mu, fun, vec, take, unit=None, fresh=None):
-        store(self, mu, fun, vec, take, None, fresh)
+    def store_without_marks(self, mu, fun, vec, take, unit=None, fresh=None, owned=False):
+        store(self, mu, fun, vec, take, None, fresh, owned)
 
     return mock.patch.object(NuclearRep, "_store", store_without_marks)
 
@@ -397,6 +399,137 @@ class TestUnitMarks:
         for marks in (rep._unit_fun, rep._unit_vec):
             assert marks.tolist() == [True] * 3
             assert not marks.flags.writeable
+
+
+def copied_family(config, n):
+    """``generate_family`` with no rows handed over: every row drawn in one
+    call, normalized in place, and gathered again by the rep."""
+    k = min(config.decay.term_count, n)
+    mu = _decay_weights(config.p, config.decay, k)
+    ambient = lp(config.p, n)
+    conj = conjugate_tag(ambient)
+    rng = _generator(config.seed, n)
+    if config.family == "diagonal":
+        eye = np.eye(n)[:k]
+        return NuclearRep(ambient, mu, eye, eye)
+
+    def unit_rows(rows, tag):
+        rows /= row_norms(rows, tag)[:, None]
+        return rows
+
+    if config.family == "random_unit":
+        draws = rng.standard_normal((k, 2, n))
+        return NuclearRep(ambient, mu, unit_rows(draws[:, 0], conj),
+                          unit_rows(draws[:, 1], ambient))
+    terms = np.arange(k)
+    draws = rng.standard_normal((k + (k + 1) // 2, n))
+    rep = NuclearRep(ambient, mu, unit_rows(draws[3 * (terms // 2)], conj),
+                     unit_rows(draws[3 * (terms // 2) + 1 + terms % 2], ambient))
+    for _ in range(min(8, len(rep)) if len(rep) >= 2 else 0):
+        rep = rewrite_equivalent(rep, "rotate", int(rng.integers(2**63)))
+    return rep
+
+
+def owned_rows(k=6, n=5, seed=3):
+    """Two distinct C-contiguous float64 row arrays, no row of norm 1.0."""
+    rng = make_rng(seed)
+    return rng.standard_normal((k, n)), rng.standard_normal((k, n))
+
+
+# weights 1e4 apart, which no ratio of the row norms of ``owned_rows`` undoes
+ORDERED_MU = 10.0 ** (-4 * np.arange(6))
+
+
+class TestHandover:
+    """``NuclearRep(..., _owned=True)`` stores the caller's row arrays,
+    divided in place, when the terms keep their order; every bit is what
+    gathering a copy gives, and any other call leaves its inputs alone."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [1, "3/2", 2, 3, "inf"])
+    # random_unit draws 64 KiB of rows per call: 7 terms at n = 513, 31 at
+    # n = 130, 64 at n = 64, one partial block at n = 7
+    @pytest.mark.parametrize("n,k", [(1, 1), (7, 5), (64, 64), (130, 64), (513, 300)])
+    def test_families_keep_every_bit(self, family, p, n, k):
+        config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, k),
+                                  ladder=(n,), seed=17)
+        rep, ref = generate_family(config, n), copied_family(config, n)
+        for x, y in ((rep.mu, ref.mu), (rep.functionals, ref.functionals),
+                     (rep.vectors, ref.vectors), (rep._unit_fun, ref._unit_fun),
+                     (rep._unit_vec, ref._unit_vec)):
+            assert same_bits(x, y)
+            assert not x.flags.writeable
+
+    @pytest.mark.parametrize("p", ["3/2", "inf"])
+    def test_draw_blocks_of_one_and_two_terms(self, monkeypatch, p):
+        n, k = 16, 15
+        config = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.1, k),
+                                  ladder=(n,), seed=5)
+        ref = copied_family(config, n)
+        for terms in (1, 2):
+            monkeypatch.setattr(harness, "_DRAW_BYTES", 16 * n * terms)
+            rep = generate_family(config, n)
+            assert same_bits(rep.functionals, ref.functionals)
+            assert same_bits(rep.vectors, ref.vectors)
+
+    @pytest.mark.parametrize("p", ["3/2", 2, "inf"])
+    def test_rows_in_order_are_stored_in_place(self, p):
+        fun, vec = owned_rows()
+        ref = NuclearRep(lp(p, 5), ORDERED_MU, fun.copy(), vec.copy())
+        rep = NuclearRep(lp(p, 5), ORDERED_MU, fun, vec, _owned=True)
+        assert rep.functionals is fun and rep.vectors is vec
+        for x, y in ((rep.mu, ref.mu), (rep.functionals, ref.functionals),
+                     (rep.vectors, ref.vectors), (rep._unit_fun, ref._unit_fun),
+                     (rep._unit_vec, ref._unit_vec)):
+            assert same_bits(x, y)
+        assert not fun.flags.writeable and not vec.flags.writeable
+
+    @pytest.mark.parametrize("case", ["reordered", "dropped", "shared", "fortran", "read-only"])
+    def test_other_rows_are_copied(self, case):
+        fun, vec = owned_rows()
+        mu = {"reordered": ORDERED_MU[::-1],
+              "dropped": np.where(np.arange(6) == 2, 0.0, ORDERED_MU)}.get(case, ORDERED_MU)
+        if case == "shared":
+            vec = fun
+        elif case == "fortran":
+            fun = np.asfortranarray(fun)
+        elif case == "read-only":
+            vec.flags.writeable = False
+        before = fun.copy(), vec.copy()
+        writeable = fun.flags.writeable, vec.flags.writeable
+        ref = NuclearRep(lp("3/2", 5), mu, *(a.copy() for a in before))
+        rep = NuclearRep(lp("3/2", 5), mu, fun, vec, _owned=True)
+        assert len(rep) == (5 if case == "dropped" else 6)
+        for x, y in ((rep.mu, ref.mu), (rep.functionals, ref.functionals),
+                     (rep.vectors, ref.vectors)):
+            assert same_bits(x, y)
+        assert (fun.flags.writeable, vec.flags.writeable) == writeable
+        for given, kept in zip((fun, vec), before):
+            assert same_bits(given, kept)
+            assert not np.shares_memory(given, rep.functionals)
+            assert not np.shares_memory(given, rep.vectors)
+
+    def test_rejected_rows_are_left_alone(self):
+        fun, vec = owned_rows()
+        vec[4, 1] = np.nan
+        before = fun.copy(), vec.copy()
+        with pytest.raises(ValueError, match="finite"):
+            NuclearRep(lp(2, 5), ORDERED_MU, fun, vec, _owned=True)
+        for given, kept in zip((fun, vec), before):
+            assert given.flags.writeable
+            assert given.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("p", [1, "3/2", 2, "inf"])
+    def test_public_call_never_writes_its_inputs(self, p):
+        fun, vec = owned_rows()
+        mu = ORDERED_MU.copy()
+        before = mu.copy(), fun.copy(), vec.copy()
+        rep = NuclearRep(lp(p, 5), mu, fun, vec)
+        for given, kept in zip((mu, fun, vec), before):
+            assert given.flags.writeable
+            assert same_bits(given, kept)
+            for stored in (rep.mu, rep.functionals, rep.vectors):
+                assert not np.shares_memory(given, stored)
 
 
 class TestJson:
