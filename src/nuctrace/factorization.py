@@ -20,9 +20,10 @@ whenever the same sum is finite.
 
 The composed chain is checked against the target built from the same
 rows, the assembled matrix at ``p >= 2`` and its transpose below: the first
-five stages compose to A's rows scaled by the weights, and B's product
-with them is formed in blocks of rows and subtracted in place from the
-target's rows, so the check holds one ``n x n`` array, not two.  Each
+five stages compose to A's rows scaled by the weights, and the target is
+formed in blocks of rows, each with B's product block subtracted from it
+in place, so past n = 1024 the check holds no ``n x n`` array; its peak
+is the ``k x n`` scaled rows and two blocks.  Each
 stage is certified with a summing exponent and a recorded upper bound.
 The three certificate exponents (r, 2, p) always satisfy
 ``1/r + 1/2 + 1/p = 1`` exactly.
@@ -38,6 +39,7 @@ import numpy as np
 from .exponents import Exponent, ParameterTriple, check_holder_chain
 from .nuclear import NuclearRep
 from .seqspace import (
+    _SQRT_TINY,
     DenseOperator,
     DiagonalOperator,
     SpaceMismatchError,
@@ -60,9 +62,10 @@ __all__ = [
 # Reconstruction error budget ``tol * (1 + |T|_F)``; also the loosest suite tolerance.
 RECONSTRUCTION_BUDGET = 1e-10
 
-# B's product is formed in blocks of at most this many bytes of rows, a
-# multiple of 64 rows: one block up to n = 1024, 512 rows at n = 2048.
-# Each block packs the scaled rows again, so smaller blocks cost time.
+# The target and B's product are formed in blocks of at most this many bytes
+# of rows, a multiple of 64 rows: one block up to n = 1024, 512 rows at
+# n = 2048.  Each block packs the scaled rows again, so smaller blocks cost
+# time.
 _BLOCK_BYTES = 2**23
 
 
@@ -94,8 +97,8 @@ class Pipeline:
     stages: MappingProxyType[str, DenseOperator | DiagonalOperator]
     triple: ParameterTriple
     mu: np.ndarray                # the rep's read-only weights, shared
-    reconstruction_error: float   # |composed - target|_F, computed once, B's rows in blocks
-    target_norm: float            # |target|_F; target = the rep's matrix, transposed below 2
+    reconstruction_error: float   # |composed - target|_F, from the norms of its row blocks
+    target_norm: float            # |target|_F, likewise; the rep's matrix, transposed below 2
     norm_a: float                 # exact opnorm(A), lp(p) -> sup: largest dual norm of a row
     norm_b: float                 # exact opnorm(B), lp(1) -> lp(p): largest norm of a column
 
@@ -106,12 +109,14 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     Below ``p = 2`` the chain factors the transpose on the conjugate tag,
     read from the rep's own rows: A evaluates the vectors, B sends the k-th
     basis vector to the k-th functional.  The target is built from the rows
-    the chain factors, so it is C-ordered at every p: the assembled matrix
-    at ``p >= 2``, bit for bit, and its transpose below.  After its norm
-    is taken, B's product with the first five stages is subtracted from it
-    in place, block by block; up to n = 1024 that is one block, the whole
-    product's arithmetic, and past it the error can move in its last bits.
-    The operator norms of A and B are the rep's :meth:`~NuclearRep.peak_norms`.
+    the chain factors, the assembled matrix at ``p >= 2`` and its transpose
+    below, one block of rows at a time: each block's norm is taken, then
+    B's product with the first five stages is subtracted from it in place
+    and the difference's norm is taken.  The two norms come from the block
+    norms with the peak scaled out.  Up to n = 1024 that is one block with
+    the whole product's arithmetic and bits; past it both norms can move in
+    their last bits.  The operator norms of A and B are the rep's
+    :meth:`~NuclearRep.peak_norms`.
     """
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")
@@ -125,7 +130,6 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     if tag_y != rep.ambient:
         rows_a, rows_b = rows_b, rows_a
         norm_a, norm_b = norm_b, norm_a
-    target = (mu[:, None] * rows_b).T @ rows_a
     tag_inf = linf(k)
     tag_r = lp(triple.r, k)
     tag_c0 = c0(k)
@@ -146,24 +150,29 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
         "D2": DiagonalOperator(half, tag_2, tag_1),
         "B": DenseOperator(rows_b.T, tag_1, tag_y),
     })
-    target_norm = _frobenius(target)
     d2, b = stages["D2"], stages["B"]
     if d2.codomain != b.domain:  # compose checks the junctions up to D2
         raise SpaceMismatchError(f"junction 4: stage 4 ends in {d2.codomain} "
                                  f"but stage 5 starts from {b.domain}")
     scaled = compose(tuple(stages.values())[:-1]).matrix  # A's rows scaled, k x n
-    n = target.shape[0]
+    n = rows_a.shape[1]
     step = max(64, _BLOCK_BYTES // (8 * n) // 64 * 64)
+    target_norms, error_norms = [], []
     for i in range(0, n, step):
-        rows = target[i : i + step]
+        # the target's rows i : i + step; its scaled-B temporary is gone
+        # before B's product block is formed
+        rows = (mu[:, None] * rows_b[:, i : i + step]).T @ rows_a
+        target_norms.append(_frobenius(rows))
         np.subtract(b.matrix[i : i + step] @ scaled, rows, out=rows)
-    del scaled
+        error_norms.append(_frobenius(rows))
+        del rows
     pipe = Pipeline(
         stages,
         triple=triple,
         mu=mu,
-        reconstruction_error=_frobenius(target),  # target now holds the difference
-        target_norm=target_norm,
+        # |.|_F of the block norms: one block gives back its own bits
+        reconstruction_error=_frobenius(np.array(error_norms)),
+        target_norm=_frobenius(np.array(target_norms)),
         norm_a=norm_a,
         norm_b=norm_b,
     )
@@ -172,13 +181,17 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """``|a|_F``; a plain norm that overflows is taken again with the peak
-    scaled out, so the reconstruction gate never compares two infinities."""
-    with np.errstate(over="ignore"):
+    """``|a|_F``.  A plain norm below ``sqrt(tiny)`` or infinite, where the
+    squares underflow or overflow, is taken again with the peak scaled out,
+    as ``row_norms`` does at p = 2, so the reconstruction gate never compares
+    two infinities and tiny weights do not read 0; a zero array stays 0.0 and
+    every other norm keeps its bits."""
+    with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(a))
-    if np.isinf(norm):
+    if norm < _SQRT_TINY or np.isinf(norm):
         top = float(np.abs(a).max())
-        norm = top * float(np.linalg.norm(a / top))
+        if 0.0 < top < np.inf:
+            norm = top * float(np.linalg.norm(a / top))
     return norm
 
 

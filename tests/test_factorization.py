@@ -152,24 +152,30 @@ class TestBuildPipeline:
     @pytest.mark.parametrize("p", ["3/2", 2, np.inf])
     def test_difference_in_several_blocks(self, monkeypatch, p):
         # n = 300 runs as one block; at 128 rows a block it runs as three,
-        # 128 + 128 + 44 rows.  The target's norm is taken before any block.
+        # 128 + 128 + 44 rows, of the target and of the product alike.
         # Each entry of a computed product of B (n x k) and the scaled rows
         # S (k x n) lies within gamma_k (|B||S|)_ij of the exact one,
         # gamma_k = k eps / (1 - k eps), so the two products differ by at
-        # most 2 gamma_k |B|_F |S|_F in Frobenius norm; the subtraction
-        # rounds each difference d once more (eps |d|), and the norm of n^2
-        # entries is good to gamma_(n^2) relative.
+        # most 2 gamma_k |B|_F |S|_F in Frobenius norm; the target's GEMM
+        # of its weighted rows W (k x n) with A's rows R (k x n) likewise by
+        # 2 gamma_k |W|_F |R|_F.  The subtraction rounds each difference d
+        # once more (eps |d|), and the norm of n^2 entries, whole or from
+        # the block norms, is good to gamma_(n^2) relative.
         n, k = 300, 131
         rep = random_rep(make_rng(32, n), p, n, k)
         whole = build_pipeline(rep)
         monkeypatch.setattr(factorization, "_BLOCK_BYTES", 128 * n * 8)
         blocked = build_pipeline(rep)
-        assert blocked.target_norm == whole.target_norm
         eps = np.finfo(np.float64).eps / 2
 
         def gamma(m):
             return m * eps / (1 - m * eps)
 
+        rows_a, rows_b, _ = chain_rows(rep)
+        norms = blocked.target_norm + whole.target_norm
+        bound = (2 * gamma(k) * np.linalg.norm(rep.mu[:, None] * rows_b) * np.linalg.norm(rows_a)
+                 + gamma(n * n) * norms)
+        assert abs(blocked.target_norm - whole.target_norm) <= bound
         stages = tuple(whole.stages.values())
         scaled = compose(stages[:-1]).matrix
         errs = blocked.reconstruction_error + whole.reconstruction_error
@@ -186,6 +192,36 @@ class TestBuildPipeline:
         monkeypatch.setattr(factorization, "compose", off)
         with pytest.raises(RuntimeError, match="does not reconstruct"):
             build_pipeline(rep)
+
+    def test_norms_of_tiny_weights_do_not_underflow(self):
+        # at weights near 2^-560 every square of the target's and the
+        # difference's entries underflows, so a plain norm reads 0.0.  At
+        # p = 2 every stage scales exactly by a power of two: the weights
+        # are squares of dyadic numbers, so their square roots are exact.
+        # The plain and the rescued norm of the same entries (up to that
+        # power) each lie within gamma_(n^2 + 3) of the exact norm.
+        n = 40
+        fun, vec = make_rng(34).standard_normal((2, n, n))
+        mu = (1.0 - np.arange(n) / 64.0) ** 2
+        plain = build_pipeline(NuclearRep(lp(2, n), mu, fun, vec))
+        tiny = build_pipeline(NuclearRep(lp(2, n), mu * 2.0**-560, fun, vec))
+        eps = np.finfo(np.float64).eps / 2
+        gamma = (n * n + 3) * eps / (1 - (n * n + 3) * eps)
+        for name in ("target_norm", "reconstruction_error"):
+            want = getattr(plain, name) * 2.0**-560
+            assert want > 0.0
+            assert abs(getattr(tiny, name) - want) <= 2 * gamma * want
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+    def test_frobenius_rescues_squares_that_underflow_or_overflow(self, scale):
+        # the peak's power of two is scaled out exactly; a norm in the
+        # normal range keeps its bits, and a zero array stays 0.0
+        a = make_rng(35).standard_normal((7, 5))
+        top = float(np.abs(a).max())
+        rescued = scale * top * float(np.linalg.norm(a / top))
+        assert factorization._frobenius(a * scale) == rescued
+        assert factorization._frobenius(a) == float(np.linalg.norm(a))
+        assert factorization._frobenius(np.zeros((7, 5))) == 0.0
 
     def test_rejects_empty_rep(self):
         with pytest.raises(ValueError, match="empty"):
@@ -215,15 +251,16 @@ class TestMemory:
     gathers its rep's two arrays straight from its parent's rows and holds
     little else (merge first sorts the parent's rows in
     ``_parallel_pairs``).  A
-    pipeline holds its target, built from the rows it factors, above the rep
-    it shares A and B with, next to ``compose``'s k x n scaled rows, and
-    subtracts B's product with them from the target's rows block by block,
-    each block at most ``_BLOCK_BYTES``.  Up to n = 1024 that is one n x n
-    block, so the peak at k = n is 3: the target, the scaled rows and the
-    product; at n = 2048 a block is a quarter of n^2, and with few terms
-    the scaled rows are small too.  Row norms go through one scratch block,
-    so the certificates add almost nothing.  The pipeline file is written
-    straight from the stage arrays.
+    pipeline holds ``compose``'s k x n scaled rows above the rep it shares
+    A and B with, and forms its target block by block from the rows it
+    factors, each block at most ``_BLOCK_BYTES``: a block of the target,
+    then B's product block, which is subtracted from it in place.  Up to
+    n = 1024 that is one n x n block, so the peak at k = n is 3: the scaled
+    rows, the target and the product; at n = 2048 a block is a quarter of
+    n^2, so the peak is 1.5, and with few terms the scaled rows are small
+    too.  Row norms go through one scratch block, so the certificates add
+    almost nothing.  The pipeline file is written straight from the stage
+    arrays.
     """
 
     N = 256
@@ -283,9 +320,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_pipeline_peak_with_few_terms(self, p):
-        # 1.28 n^2 doubles at k = 64, n = 2048: the target, the 64 scaled
-        # rows and one 512-row block of the product (2.03 when the whole
-        # product was formed next to the target)
+        # 0.53 n^2 doubles at k = 64, n = 2048: the 64 scaled rows and two
+        # 512-row blocks, of the target and of the product (1.28 with the
+        # whole target, 2.03 with the whole product next to it)
         n, k = 2048, 64
         cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, k),
                                ladder=(n,), seed=7, cases_per_level=1)
@@ -293,7 +330,21 @@ class TestMemory:
         build_pipeline(rep)  # first-call allocations are not the path's
         _, peak = traced_peak(lambda: build_pipeline(rep))
         assert len(rep) == k
-        assert peak <= 1.53 * n * n * 8
+        assert peak <= 0.78 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", 2, INF])
+    def test_pipeline_peak_in_several_blocks(self, monkeypatch, p):
+        # 1.53 n^2 doubles at k = n = 256 in 64-row blocks: the scaled rows
+        # and two quarter blocks; 2.27 with the whole target, which alone
+        # is 1.0
+        n = self.N
+        monkeypatch.setattr(factorization, "_BLOCK_BYTES", 64 * n * 8)
+        cfg = ExperimentConfig(p=p, family="random_unit", decay=DecayProfile(1.0, n),
+                               ladder=(n,), seed=7, cases_per_level=1)
+        rep = generate_family(cfg, n)
+        build_pipeline(rep)  # first-call allocations are not the path's
+        _, peak = traced_peak(lambda: build_pipeline(rep))
+        assert peak <= 1.78 * n * n * 8
 
     def test_rotation_family_peak(self):
         # 4.12 n^2 doubles: the draws are freed before the 8 rotations, and
