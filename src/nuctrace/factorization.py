@@ -116,7 +116,8 @@ def build_pipeline(rep: NuclearRep) -> Pipeline:
     norms with the peak scaled out.  Up to n = 1024 that is one block with
     the whole product's arithmetic and bits; past it both norms can move in
     their last bits.  The operator norms of A and B are the rep's
-    :meth:`~NuclearRep.peak_norms`.
+    :meth:`~NuclearRep.peak_norms`, read from the norms it stores with its
+    rows, so no row is normed again.
     """
     if len(rep) == 0:
         raise ValueError("cannot factor an empty representation")

@@ -17,9 +17,10 @@ used to observe that the trace functional does not depend on which term
 list represents an operator.  A rewrite names its new terms by their rows
 in the parent rep (plus, for ``rotate``, the two rotated rows) and goes
 through the constructor's own checks, which gather each stored row once,
-straight from the parent's rows into its sorted position.  A rep marks the
-rows it stored undivided, whose norm is exactly 1.0, so a rewrite norms only
-its parent's other rows and the rows it makes.
+straight from the parent's rows into its sorted position.  A rep stores the
+norm of each of its rows, taken once from the row's own bits, so a rewrite
+gathers its parent's norms and norms only the rows it makes and the rows it
+divides.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ MU_FLOOR = 1e-300
 
 _REWRITE_SCHEMES = ("split", "merge", "rotate")
 
-# Bytes per block in which the constructor divides rows not of norm 1.0.
+# Bytes per block in which the constructor divides and norms rows not of norm 1.0.
 _DIVIDE_BYTES = 2**15
 
 
@@ -93,10 +94,17 @@ class NuclearRep:
     coordinates and their norms finite, and the total weight
     ``sum_k mu_k |f_k| |v_k|`` finite; anything else raises ``ValueError``
     before it can reach an eigensolver.
+
+    The rep stores each row's norm, taken once from the row's own bits:
+    1.0 for a row stored undivided, and for a divided row its norm after the
+    division, which lies within a few units of rounding of 1.0 and is often
+    not exactly 1.0.  Construction is therefore not idempotent: a rep built
+    from another rep's arrays, or a rewrite of it, divides each such row
+    once more and moves its weight by the same rounding.
     """
 
-    __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec", "_unit_fun",
-                 "_unit_vec")
+    __slots__ = ("ambient", "conjugate", "order", "_mu", "_fun", "_vec", "_norm_fun",
+                 "_norm_vec")
 
     def __init__(self, ambient: SpaceTag, mu, functionals, vectors, *, _owned=False):
         if ambient.kind != "lp":
@@ -115,31 +123,30 @@ class NuclearRep:
             a.flags.c_contiguous and a.flags.writeable for a in (fun, vec))
         self._store(mu, fun, vec, np.arange(k), owned=owned)
 
-    def _store(self, mu, fun, vec, take, unit=None, fresh=None, owned=False):
+    def _store(self, mu, fun, vec, take, norms=None, fresh=None, owned=False):
         """Check and store the terms of weights ``mu`` whose rows are
         ``fun[take]`` followed by the fresh functionals (and the same for
         ``vec``); ``fun`` and ``vec`` are only read, unless ``owned`` hands
         them over and the stored terms are their rows in order, which are
         then divided and stored in place.
 
-        ``unit`` is None for raw input, whose rows are all normed, or a
-        parent's pair of marks: its rows in ``fun`` and ``vec`` whose norm
-        is exactly 1.0, which are not normed again.  ``fresh`` holds the
-        fresh functionals, vectors and their two norms.  A stored row is
-        marked when it was stored undivided, so each row's norm is computed
-        once, from its own bits.
+        ``norms`` is None for raw input, whose rows are all normed, or a
+        parent's stored norms of its rows in ``fun`` and ``vec``, which are
+        gathered, not taken again.  ``fresh`` holds the fresh functionals,
+        vectors and their two norms.  The norm of each stored row is kept
+        with it (see ``_unit_rows``), so each is computed once, from its own
+        bits.
         """
-        unit_f, unit_v = unit or (None, None)
         fresh_fun, fresh_vec, fresh_norm_f, fresh_norm_v = fresh or (
             fun[:0], vec[:0], np.zeros(0), np.zeros(0))
         bad = ~(np.isfinite(mu) & (mu >= 0))
         if bad.any():
             raise ValueError(f"term weights must be finite and >= 0, got {mu[bad][0]}")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            norm_f = np.concatenate([_take_norms(fun, self.conjugate, take, unit_f),
-                                     fresh_norm_f])
-            norm_v = np.concatenate([_take_norms(vec, self.ambient, take, unit_v),
-                                     fresh_norm_v])
+            norms_f, norms_v = norms or (row_norms(fun, self.conjugate),
+                                         row_norms(vec, self.ambient))
+            norm_f = np.concatenate([norms_f[take], fresh_norm_f])
+            norm_v = np.concatenate([norms_v[take], fresh_norm_v])
             scale = mu * norm_f * norm_v
             total = scale.sum()
         if not (np.isfinite(norm_f).all() and np.isfinite(norm_v).all()):
@@ -160,10 +167,11 @@ class NuclearRep:
         self._mu = scale[order_idx]
         norm_f, norm_v = norm_f[order_idx], norm_v[order_idx]
         in_place = owned and at.size == 0 and np.array_equal(src, np.arange(fun.shape[0]))
-        self._fun = _unit_rows(fun, src, at, fresh_fun[nth], norm_f, in_place)
-        self._vec = _unit_rows(vec, src, at, fresh_vec[nth], norm_v, in_place)
-        self._unit_fun, self._unit_vec = norm_f == 1.0, norm_v == 1.0
-        for a in (self._mu, self._fun, self._vec, self._unit_fun, self._unit_vec):
+        self._fun, self._norm_fun = _unit_rows(fun, src, at, fresh_fun[nth], norm_f,
+                                               self.conjugate, in_place)
+        self._vec, self._norm_vec = _unit_rows(vec, src, at, fresh_vec[nth], norm_v,
+                                               self.ambient, in_place)
+        for a in (self._mu, self._fun, self._vec, self._norm_fun, self._norm_vec):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -186,12 +194,8 @@ class NuclearRep:
 
     def peak_norms(self) -> tuple[float, float]:
         """The largest norm of a functional, in ``conjugate``, and of a
-        vector, in ``ambient``.  A marked row's norm is exactly 1.0 from its
-        own bits, so only the unmarked rows are normed again."""
-        take = np.arange(len(self))
-        peak_f = _take_norms(self._fun, self.conjugate, take, self._unit_fun).max(initial=0.0)
-        peak_v = _take_norms(self._vec, self.ambient, take, self._unit_vec).max(initial=0.0)
-        return float(peak_f), float(peak_v)
+        vector, in ``ambient``, read from the stored norms."""
+        return float(self._norm_fun.max(initial=0.0)), float(self._norm_vec.max(initial=0.0))
 
     def __repr__(self) -> str:
         return f"NuclearRep({self.ambient}, {len(self)} terms, s={self.order})"
@@ -207,30 +211,21 @@ def _rows(coords, k: int, tag: SpaceTag) -> np.ndarray:
     return rows
 
 
-def _take_norms(rows: np.ndarray, tag: SpaceTag, take: np.ndarray,
-                unit: np.ndarray | None) -> np.ndarray:
-    """The norms of ``rows[take]``: 1.0 where ``unit`` marks the row, taken
-    through ``row_norms``' scratch blocks elsewhere; without marks every row
-    of ``rows`` is normed where it lies."""
-    if unit is None:
-        return row_norms(rows, tag)[take]
-    norms = np.ones(take.shape[0])
-    todo = np.flatnonzero(~unit[take])
-    norms[todo] = row_norms(rows, tag, take[todo])
-    return norms
-
-
 def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndarray,
-               norms: np.ndarray, in_place: bool) -> np.ndarray:
+               norms: np.ndarray, tag: SpaceTag, in_place: bool):
     """``rows[src]`` with the rows ``fresh`` written at positions ``at``,
-    each row divided by its entry of ``norms``; ``in_place`` says that this
-    is ``rows`` itself, in order, and divides ``rows`` instead of a copy.
+    each row divided by its entry of ``norms``, and the norms in ``tag`` of
+    the rows so stored; ``in_place`` says that this is ``rows`` itself, in
+    order, and divides ``rows`` instead of a copy.
 
-    ``x / 1.0 == x`` for finite ``x``, so rows of norm exactly 1.0 (most
-    rows of an existing rep) are only gathered.  Raw input, where more than
-    a third of the rows need dividing, is divided whole and in place, which
-    is faster there; otherwise only those rows are divided, gathered in
-    blocks of at most ``_DIVIDE_BYTES``.
+    ``x / 1.0 == x`` for finite ``x``, so a row of norm exactly 1.0 (most
+    rows of an existing rep) is only gathered and its norm stays 1.0.  A
+    divided row is normed right after the division, from its own bits.
+    Raw input, where more than a third of the rows need dividing, is
+    divided whole and in place, which is faster there; otherwise only those
+    rows are divided.  Either way the divided rows are normed in gathered
+    blocks of at most ``_DIVIDE_BYTES``, so no norm scratch grows with the
+    rows.
     """
     if in_place:
         out = rows
@@ -238,14 +233,19 @@ def _unit_rows(rows: np.ndarray, src: np.ndarray, at: np.ndarray, fresh: np.ndar
         out = rows[src]
         out[at] = fresh
     todo = np.flatnonzero(norms != 1.0)
-    if 3 * todo.size > out.shape[0]:
+    whole = 3 * todo.size > out.shape[0]
+    if whole:
         out /= norms[:, None]
-        return out
+    stored = np.ones(out.shape[0])
     step = max(1, _DIVIDE_BYTES // (8 * out.shape[1]))
     for i in range(0, todo.size, step):
         idx = todo[i : i + step]
-        out[idx] /= norms[idx, None]
-    return out
+        block = out[idx]
+        if not whole:
+            block /= norms[idx, None]
+            out[idx] = block
+        stored[idx] = row_norms(block, tag)
+    return out, stored
 
 
 def quasi_norm_value(rep: NuclearRep, s) -> float:
@@ -256,11 +256,9 @@ def quasi_norm_value(rep: NuclearRep, s) -> float:
     nonconvex search with no computable certificate).  For a fixed rep the
     value is nonincreasing in ``s``.
     """
-    s = OrderExponent(s)
-    norms_f = row_norms(rep.functionals, rep.conjugate)
-    norms_v = row_norms(rep.vectors, rep.ambient)
-    sf = float(s)
-    return float(np.power(np.power(rep.mu * norms_f * norms_v, sf).sum(), 1.0 / sf))
+    sf = float(OrderExponent(s))
+    terms = rep.mu * rep._norm_fun * rep._norm_vec
+    return float(np.power(np.power(terms, sf).sum(), 1.0 / sf))
 
 
 def nuclear_trace(rep: NuclearRep) -> float:
@@ -279,9 +277,14 @@ def assemble(rep: NuclearRep) -> DenseOperator:
 def adjoint_rep(rep: NuclearRep) -> NuclearRep:
     """Swap functional and vector roles; the transpose acting on the conjugate tag.
 
-    Unit norms are preserved by the swap (each side was normalized in the
-    norm it now needs), the weights are untouched, the trace is identical,
-    and the assembled matrix is the transpose of the original.
+    Each side is normed in the norm it was stored in (the conjugate of the
+    conjugate tag is the ambient), so each row is divided again by its
+    stored norm and each weight multiplied by its term's two stored norms,
+    all within a few units of rounding of 1.0 (see ``NuclearRep``).  The
+    adjoint agrees with the original to rounding, not bit for bit: on the
+    drawn families and their rewrites, each weight within 1e-15 relative,
+    the trace within ``1e-15 sum(mu)`` and the assembled matrix within
+    ``1e-15 |M|_F`` of the transpose (Frobenius norm).
     """
     return NuclearRep(rep.conjugate, rep.mu, rep.vectors, rep.functionals)
 
@@ -295,11 +298,10 @@ def _generator(*entropy: int) -> np.random.Generator:
 def _rewritten(rep: NuclearRep, mu: np.ndarray, take: np.ndarray, fresh=None) -> NuclearRep:
     """The rep of weights ``mu`` on the rows ``take`` of ``rep`` followed
     by the ``fresh`` rows (see ``NuclearRep._store``), through the
-    constructor's checks; of ``rep``'s rows only those it does not mark are
-    normed again."""
+    constructor's checks; ``rep``'s rows keep their stored norms."""
     out = object.__new__(NuclearRep)
     out.ambient, out.conjugate, out.order = rep.ambient, rep.conjugate, rep.order
-    out._store(mu, rep.functionals, rep.vectors, take, (rep._unit_fun, rep._unit_vec), fresh)
+    out._store(mu, rep.functionals, rep.vectors, take, (rep._norm_fun, rep._norm_vec), fresh)
     return out
 
 

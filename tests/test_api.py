@@ -1,9 +1,9 @@
 """Every name the package and its modules export resolves, the package
 declares each of them once, the README library map names each of them, each
 of them has a caller outside the tests, no module imports a name it leaves
-unused, every entry point the benchmark tracer patches exists and its count
-hooks read what the library passes them, and the README's rep example
-loads."""
+unused, no module but ``nuclear`` reads a private ``NuclearRep`` slot, every
+entry point the benchmark tracer patches exists and its count hooks read what
+the library passes them, and the README's rep example loads."""
 
 import ast
 import importlib
@@ -119,6 +119,16 @@ SOURCES = [path for folder in ("src/nuctrace", "demos", "tests")
 @pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_only_nuclear_reads_the_private_rep_slots():
+    """How a rep stores its weights, rows and row norms is ``nuclear``'s
+    decision alone: no other library module names a private slot."""
+    private = {slot for slot in nuctrace.NuclearRep.__slots__ if slot.startswith("_")}
+    readers = [f"{path.name}: {name}" for path in sorted((ROOT / "src/nuctrace").glob("*.py"))
+               if path.name != "nuclear.py"
+               for name in sorted(_references(path, strings=True) & private)]
+    assert readers == []
 
 
 def _load_tracer():

@@ -19,6 +19,7 @@ from nuctrace import (
     generate_family,
     lp,
     pipeline_to_json,
+    quasi_norm_value,
     rep_from_json,
     rep_to_json,
     rewrite_equivalent,
@@ -250,7 +251,8 @@ class TestMemory:
     it draws through; a loaded rep keeps the loader's arrays.  A rewrite
     gathers its rep's two arrays straight from its parent's rows and holds
     little else (merge first sorts the parent's rows in
-    ``_parallel_pairs``).  A
+    ``_parallel_pairs``); a rep norms the rows it divides in gathered
+    blocks of at most 32 KiB, each with a scratch of its size.  A
     pipeline holds ``compose``'s k x n scaled rows above the rep it shares
     A and B with, and forms its target block by block from the rows it
     factors, each block at most ``_BLOCK_BYTES``: a block of the target,
@@ -347,7 +349,7 @@ class TestMemory:
         assert peak <= 1.78 * n * n * 8
 
     def test_rotation_family_peak(self):
-        # 4.12 n^2 doubles: the draws are freed before the 8 rotations, and
+        # 4.15 n^2 doubles: the draws are freed before the 8 rotations, and
         # each rotation holds the new rep's two arrays next to the old rep's
         n = self.N
         self.rotation_family()
@@ -368,7 +370,7 @@ class TestMemory:
         return generate_family(cfg, n)
 
     def test_rotate_pair_peak(self):
-        # 2.10 n^2 doubles: the new rep's two arrays, gathered once from the
+        # 2.12 n^2 doubles: the new rep's two arrays, gathered once from the
         # parent's rows, with the two rotated rows written in
         n = self.N
         out, peak = self.rewrite_peak(lambda rep: rotate_pair(rep, 3, n // 2, 0.5),
@@ -395,9 +397,8 @@ class TestMemory:
         assert peak <= 4.31 * n * n * 8
 
     def test_rotate_pair_peak_p3_2(self):
-        # 2.22 n^2 doubles, as when every row was normed again: the parent's
-        # unmarked rows are normed through row_norms' scratch blocks, with no
-        # k x n gather
+        # 2.29 n^2 doubles: the parent's rows keep their stored norms, and
+        # the rows divided again are normed in blocks, with no k x n gather
         n = self.N
         out, peak = self.rewrite_peak(lambda rep: rotate_pair(rep, 3, n // 2, 0.5),
                                       self.rotation_family("3/2"))
@@ -405,7 +406,7 @@ class TestMemory:
         assert peak <= 2.47 * n * n * 8
 
     def test_split_peak_p3_2(self):
-        # 2.18 n^2 doubles, as when every row was normed again
+        # 2.25 n^2 doubles
         n = self.N
         out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "split", 5),
                                       self.rotation_family("3/2"))
@@ -413,8 +414,9 @@ class TestMemory:
         assert peak <= 2.43 * n * n * 8
 
     def test_rotate_pair_peak_on_raw_input(self):
-        # 2.22 n^2 doubles: nearly every row of the parent was divided at
-        # construction, so none is marked and all are normed again
+        # 2.29 n^2 doubles: nearly every row of the parent was divided at
+        # construction, so many of its stored norms are not exactly 1.0 and
+        # those rows are divided again
         n = self.N
         draws = make_rng(7).standard_normal((2, n, n))
         parent = NuclearRep(lp("3/2", n), np.linspace(1.0, 0.5, n), draws[0], draws[1])
@@ -424,8 +426,8 @@ class TestMemory:
         assert peak <= 2.47 * n * n * 8
 
     def test_raw_input_rep_peak(self):
-        # 2.16 n^2 doubles: every row needs dividing and is divided in place
-        # in the rep's two gathered arrays
+        # 2.25 n^2 doubles: every row needs dividing and is divided in place
+        # in the rep's two gathered arrays, then normed block by block
         n = self.N
         draws = make_rng(7).standard_normal((2, n, n))
         mu = np.linspace(1.0, 0.5, n)
@@ -433,6 +435,16 @@ class TestMemory:
         rep, peak = traced_peak(lambda: NuclearRep(lp("3/2", n), mu, draws[0], draws[1]))
         assert len(rep) == n
         assert peak <= 2.41 * n * n * 8
+
+    @pytest.mark.parametrize("p", ["3/2", INF])
+    def test_quasi_norm_value_peak(self, p):
+        # 0.01 n^2 doubles: a few k-long arrays of the stored weights and
+        # norms; 0.64 at p = 3/2 when every row was normed again
+        n = self.N
+        rep = self.rotation_family(p)
+        quasi_norm_value(rep, rep.order)  # first-call allocations are not the path's
+        _, peak = traced_peak(lambda: quasi_norm_value(rep, rep.order))
+        assert peak <= 0.05 * n * n * 8
 
     @pytest.mark.parametrize("p", ["3/2", 2, INF])
     def test_certificates_peak(self, p):

@@ -16,6 +16,7 @@ from nuctrace import (
     SchemeNotApplicableError,
     adjoint_rep,
     assemble,
+    build_pipeline,
     conjugate_tag,
     generate_family,
     lp,
@@ -235,6 +236,26 @@ class TestAdjoint:
         assert nuclear_trace(adj) == pytest.approx(nuclear_trace(rep), rel=1e-12)
         assert adj.order == rep.order
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", ["1", "3/2", "2", "3", "inf"])
+    def test_agrees_to_rounding(self, family, p):
+        # the tolerances adjoint_rep documents; the swap divides each row
+        # again by its stored norm and scales each weight by both
+        n = 64
+        config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, n),
+                                  ladder=(n,), seed=3)
+        rep = generate_family(config, n)
+        *_, rewritten = _rewrite_chain(rep, 6, _generator(3, 1))
+        for r in (rep, rewritten):
+            adj = adjoint_rep(r)
+            assert same_bits(adj.mu, r.mu * r._norm_vec * r._norm_fun)
+            assert same_bits(adj.functionals, r.vectors / r._norm_vec[:, None])
+            assert same_bits(adj.vectors, r.functionals / r._norm_fun[:, None])
+            assert np.all(np.abs(adj.mu - r.mu) <= 1e-15 * r.mu)
+            assert abs(nuclear_trace(adj) - nuclear_trace(r)) <= 1e-15 * r.mu.sum()
+            m = assemble(r).matrix
+            assert np.linalg.norm(assemble(adj).matrix - m.T) <= 1e-15 * np.linalg.norm(m)
+
 
 class TestRewrites:
     def test_split_doubles_terms_same_matrix(self):
@@ -311,25 +332,66 @@ class TestRewrites:
                 assert abs(nuclear_trace(cur) - t0) <= 1e-10 * (1 + mu_sum)
 
 
-def unmarked_store():
-    """A patch under which ``NuclearRep._store`` sees no parent's marks and
-    so norms every row again, as the constructor does on raw input."""
+def store_norming_every_row():
+    """A patch under which ``NuclearRep._store`` is handed no parent's norms
+    and so norms every row again, as the constructor does on raw input."""
     store = NuclearRep._store
 
-    def store_without_marks(self, mu, fun, vec, take, unit=None, fresh=None, owned=False):
+    def store_without_norms(self, mu, fun, vec, take, norms=None, fresh=None, owned=False):
         store(self, mu, fun, vec, take, None, fresh, owned)
 
-    return mock.patch.object(NuclearRep, "_store", store_without_marks)
+    return mock.patch.object(NuclearRep, "_store", store_without_norms)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestUnitMarks:
-    """A rep marks its stored rows of norm exactly 1.0 and a rewrite norms
-    only its parent's other rows; every bit must be what norming every row
-    gives."""
+def stored_arrays(rep):
+    return rep.mu, rep.functionals, rep.vectors, rep._norm_fun, rep._norm_vec
+
+
+def assert_same_rep(rep, ref):
+    """``rep`` keeps the bits of ``ref`` (built under
+    ``store_norming_every_row``), and its stored arrays are read-only, its
+    norms equal bit for bit to the norms of its stored rows."""
+    for x, y in zip(stored_arrays(rep), stored_arrays(ref)):
+        assert same_bits(x, y)
+        assert not x.flags.writeable
+    for rows, norms, tag in ((rep.functionals, rep._norm_fun, rep.conjugate),
+                             (rep.vectors, rep._norm_vec, rep.ambient)):
+        assert same_bits(norms, row_norms(rows, tag))
+
+
+def assert_chains_agree(rep, ref, steps, seed):
+    """``assert_same_rep`` along the rewrite chains drawn from ``rep`` and
+    ``ref``, whose peak norms are the largest norms of their rows."""
+    with store_norming_every_row():
+        ref_chain = list(_rewrite_chain(ref, steps, _generator(seed, 1)))
+    chain = list(_rewrite_chain(rep, steps, _generator(seed, 1)))
+    for a, b in zip([rep, *chain], [ref, *ref_chain], strict=True):
+        assert_same_rep(a, b)
+        assert a.peak_norms() == (float(row_norms(a.functionals, a.conjugate).max()),
+                                  float(row_norms(a.vectors, a.ambient).max()))
+
+
+@pytest.fixture
+def normed_rows(monkeypatch):
+    """Rows handed to ``row_norms`` by the ``nuclear`` module, per tag."""
+    normed = {}
+
+    def counted(rows, tag):
+        normed[tag] = normed.get(tag, 0) + len(rows)
+        return row_norms(rows, tag)
+
+    monkeypatch.setattr(nuclear, "row_norms", counted)
+    return normed
+
+
+class TestStoredNorms:
+    """A rep stores each row's norm, taken once from the row's own bits, and
+    a rewrite gathers its parent's; every bit must be what norming every row
+    again gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,62 +405,80 @@ class TestUnitMarks:
     def test_rewrite_chains_keep_every_bit(self, family, p, n, terms, seed, steps):
         config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, min(terms, n)),
                                   ladder=(n,), seed=seed)
-        with unmarked_store():
+        with store_norming_every_row():
             ref = generate_family(config, n)
-            ref_chain = list(_rewrite_chain(ref, steps, _generator(seed, 1)))
-        rep = generate_family(config, n)
-        chain = list(_rewrite_chain(rep, steps, _generator(seed, 1)))
-        for a, b in zip([rep, *chain], [ref, *ref_chain]):
-            for x, y in ((a.mu, b.mu), (a.functionals, b.functionals), (a.vectors, b.vectors)):
-                assert same_bits(x, y)
-            # a marked row's norm, taken again from its stored bits, is 1.0
-            for rows, unit, tag in ((a.functionals, a._unit_fun, a.conjugate),
-                                    (a.vectors, a._unit_vec, a.ambient)):
-                assert np.all(row_norms(rows[unit], tag) == 1.0)
-            assert a.peak_norms() == (float(row_norms(a.functionals, a.conjugate).max()),
-                                      float(row_norms(a.vectors, a.ambient).max()))
+        assert_chains_agree(generate_family(config, n), ref, steps, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from(["1", "3/2", "2", "3", "inf"]),
+        n=st.integers(1, 12),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 10),
+    )
+    def test_raw_input_across_the_double_range(self, p, n, k, seed, steps):
+        # each functional row scaled by 2^e, e in [-1000, 1000], its vector
+        # by 2^-e, and each entry by down to 2^-60 more: coordinates run from
+        # subnormals to 1e301 while every mu |f| |v| stays near 1
+        rng = make_rng(seed)
+        e = rng.integers(-1000, 1001, size=(k, 1)).astype(np.float64)
+
+        def spread():
+            return rng.standard_normal((k, n)) * 2.0 ** -rng.integers(0, 61, size=(k, n))
+
+        fun, vec = spread() * 2.0**e, spread() * 2.0**-e
+        ref = NuclearRep(lp(p, n), np.ones(k), fun, vec)
+        assert_chains_agree(NuclearRep(lp(p, n), np.ones(k), fun, vec), ref, steps, seed)
 
     @pytest.mark.parametrize("p", ["3/2", "inf"])
-    def test_peak_norms_norm_only_unmarked_rows(self, monkeypatch, p):
+    def test_peak_norms_and_quasi_norm_value_norm_no_rows(self, normed_rows, p):
         n = 256
         config = ExperimentConfig(p=p, family="shared_functional_rotations",
                                   decay=DecayProfile(1.0, n), ladder=(n,), seed=7)
         rep = generate_family(config, n)
-        normed = {rep.ambient: 0, rep.conjugate: 0}
+        normed_rows.clear()
+        peaks = rep.peak_norms()
+        value = quasi_norm_value(rep, rep.order)
+        assert normed_rows == {}
+        norms_f, norms_v = row_norms(rep.functionals, rep.conjugate), row_norms(rep.vectors,
+                                                                                rep.ambient)
+        assert peaks == (float(norms_f.max()), float(norms_v.max()))
+        sf = float(rep.order)
+        assert value == float(np.power(np.power(rep.mu * norms_f * norms_v, sf).sum(), 1 / sf))
 
-        def counted(rows, tag, at=None):
-            normed[tag] += len(rows) if at is None else len(at)
-            return row_norms(rows, tag, at)
-
-        monkeypatch.setattr(nuclear, "row_norms", counted)
-        rep.peak_norms()
-        assert normed[rep.conjugate] == np.count_nonzero(~rep._unit_fun)
-        assert normed[rep.ambient] == np.count_nonzero(~rep._unit_vec)
-        assert normed[rep.ambient] + normed[rep.conjugate] < n
-
-    def test_rotate_norms_few_rows(self, monkeypatch):
+    def test_rotate_norms_few_rows(self, normed_rows):
         # norming every row again would take all k rows and the two rotated
         # ones on each side: 516 and 516
         n = 512
         config = ExperimentConfig(p="inf", family="shared_functional_rotations",
                                   decay=DecayProfile(1.0, n), ladder=(n,), seed=7)
         rep = generate_family(config, n)
-        normed = {rep.ambient: 0, rep.conjugate: 0}
-
-        def counted(rows, tag, at=None):
-            normed[tag] += len(rows) if at is None else len(at)
-            return row_norms(rows, tag, at)
-
-        monkeypatch.setattr(nuclear, "row_norms", counted)
+        normed_rows.clear()
         rotate_pair(rep, 3, n // 2, 0.5)
-        assert normed[rep.ambient] <= 4
-        assert normed[rep.conjugate] < n // 4
+        assert normed_rows.get(rep.ambient, 0) <= 4
+        assert normed_rows.get(rep.conjugate, 0) < n // 4
 
-    def test_marks_are_read_only(self):
+    # rows normed by a draw, a 10-step rewrite chain and the pipeline built
+    # on its last rep at k = n = 512; a bound, not an equality, since which
+    # rows come out of norm exactly 1.0 rests on the last bits of each norm
+    @pytest.mark.parametrize("family,p,bound", [
+        ("random_unit", "3/2", 1916), ("random_unit", 2, 1472), ("random_unit", "inf", 1496),
+        ("shared_functional_rotations", "inf", 1766),
+    ])
+    def test_rows_normed_from_draw_to_pipeline(self, normed_rows, family, p, bound):
+        n = 512
+        config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.0, n),
+                                  ladder=(n,), seed=7)
+        *_, rep = _rewrite_chain(generate_family(config, n), 10, _generator(7, 1))
+        build_pipeline(rep)
+        assert sum(normed_rows.values()) <= bound
+
+    def test_stored_norms_are_read_only(self):
         rep = rewrite_equivalent(diagonal_rep([1.0, 0.5]), "split", 1)
-        for marks in (rep._unit_fun, rep._unit_vec):
-            assert marks.tolist() == [True] * 3
-            assert not marks.flags.writeable
+        for norms in (rep._norm_fun, rep._norm_vec):
+            assert norms.tolist() == [1.0] * 3
+            assert not norms.flags.writeable
 
 
 def copied_family(config, n):
@@ -453,12 +533,9 @@ class TestHandover:
     def test_families_keep_every_bit(self, family, p, n, k):
         config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.1, k),
                                   ladder=(n,), seed=17)
-        rep, ref = generate_family(config, n), copied_family(config, n)
-        for x, y in ((rep.mu, ref.mu), (rep.functionals, ref.functionals),
-                     (rep.vectors, ref.vectors), (rep._unit_fun, ref._unit_fun),
-                     (rep._unit_vec, ref._unit_vec)):
-            assert same_bits(x, y)
-            assert not x.flags.writeable
+        with store_norming_every_row():
+            ref = copied_family(config, n)
+        assert_same_rep(generate_family(config, n), ref)
 
     @pytest.mark.parametrize("p", ["3/2", "inf"])
     def test_draw_blocks_of_one_and_two_terms(self, monkeypatch, p):
@@ -478,10 +555,7 @@ class TestHandover:
         ref = NuclearRep(lp(p, 5), ORDERED_MU, fun.copy(), vec.copy())
         rep = NuclearRep(lp(p, 5), ORDERED_MU, fun, vec, _owned=True)
         assert rep.functionals is fun and rep.vectors is vec
-        for x, y in ((rep.mu, ref.mu), (rep.functionals, ref.functionals),
-                     (rep.vectors, ref.vectors), (rep._unit_fun, ref._unit_fun),
-                     (rep._unit_vec, ref._unit_vec)):
-            assert same_bits(x, y)
+        assert_same_rep(rep, ref)
         assert not fun.flags.writeable and not vec.flags.writeable
 
     @pytest.mark.parametrize("case", ["reordered", "dropped", "shared", "fortran", "read-only"])

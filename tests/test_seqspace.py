@@ -140,26 +140,6 @@ class TestNorms:
                                      np.repeat(rows, 2, axis=1)[:, ::2]):
                             assert np.array_equal(row_norms(laid, tag), ref[idx])
 
-    @pytest.mark.parametrize("dim", (1, 7, 300))
-    def test_row_norms_at_an_index(self, dim):
-        # rows picked by an index, in any order and across block edges, get
-        # the bits they get in place; the p = 2 retake of rows whose squares
-        # underflow or overflow follows the index too
-        b = max(1, 2**18 // (8 * dim))
-        rng = make_rng(60, dim)
-        k = 3 * b + 5
-        rows = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-8, 8, size=(k, 1))
-        rows[3] *= 1e-170 / np.abs(rows[3]).max()
-        rows[4] *= 1e200 / np.abs(rows[4]).max()
-        picks = (rng.permutation(k)[: b + 1], np.arange(k)[::-1], np.array([4, 3, 4]),
-                 np.zeros(0, dtype=np.intp))
-        for tag in all_tags(dim):
-            full = row_norms(rows, tag)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for at in picks:
-                    assert np.array_equal(row_norms(rows, tag, at), full[at])
-
     def test_row_norms_memory_does_not_grow_with_rows(self):
         # one scratch block, 0.03-0.04 n^2 doubles; a full abs copy was 1.00
         n = 1024
