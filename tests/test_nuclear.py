@@ -460,19 +460,36 @@ class TestStoredNorms:
         assert normed_rows.get(rep.conjugate, 0) < n // 4
 
     # rows normed by a draw, a 10-step rewrite chain and the pipeline built
-    # on its last rep at k = n = 512; a bound, not an equality, since which
-    # rows come out of norm exactly 1.0 rests on the last bits of each norm
-    @pytest.mark.parametrize("family,p,bound", [
+    # on its last rep at k = n = 512, read 1916 / 1472 / 1496 / 1766 on one
+    # machine; which rows come out of norm exactly 1.0 rests on the last bits
+    # of each norm, which another SIMD or BLAS kernel may move, so each bound
+    # leaves 1% of slack (norming every row again adds k = 512 per rewrite)
+    @pytest.mark.parametrize("family,p,count", [
         ("random_unit", "3/2", 1916), ("random_unit", 2, 1472), ("random_unit", "inf", 1496),
         ("shared_functional_rotations", "inf", 1766),
     ])
-    def test_rows_normed_from_draw_to_pipeline(self, normed_rows, family, p, bound):
+    def test_rows_normed_from_draw_to_pipeline(self, normed_rows, family, p, count):
         n = 512
         config = ExperimentConfig(p=p, family=family, decay=DecayProfile(1.0, n),
                                   ladder=(n,), seed=7)
         *_, rep = _rewrite_chain(generate_family(config, n), 10, _generator(7, 1))
         build_pipeline(rep)
-        assert sum(normed_rows.values()) <= bound
+        assert sum(normed_rows.values()) <= 1.01 * count
+
+    @pytest.mark.parametrize("p", ["3/2", "inf"])
+    def test_raw_input_norms_in_blocks_of_16_rows(self, monkeypatch, p):
+        # raw rows of length 2048 are normed once whole and then, divided,
+        # in 4 blocks of 16 rows per side; 32 KiB blocks would take 32
+        calls = []
+
+        def counted(rows, tag):
+            calls.append(len(rows))
+            return row_norms(rows, tag)
+
+        monkeypatch.setattr(nuclear, "row_norms", counted)
+        rng = make_rng(5)
+        NuclearRep(lp(p, 2048), np.ones(64), *rng.standard_normal((2, 64, 2048)))
+        assert sorted(calls) == [16] * 8 + [64] * 2
 
     def test_stored_norms_are_read_only(self):
         rep = rewrite_equivalent(diagonal_rep([1.0, 0.5]), "split", 1)
