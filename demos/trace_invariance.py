@@ -39,7 +39,7 @@ for step in range(12):
     try:
         cur = rewrite_equivalent(cur, scheme, seed=int(rng.integers(2**32)))
     except SchemeNotApplicableError:
-        scheme = "split"  # no mergeable pair; fall back
+        scheme = "split"  # no two terms are exact copies; fall back
         cur = rewrite_equivalent(cur, scheme, seed=int(rng.integers(2**32)))
     drift = nuclear_trace(cur) - t0
     frob = np.linalg.norm(assemble(cur).matrix - assemble(rep).matrix)

@@ -14,13 +14,15 @@ weight of its term.
 Rewrites (``split``, ``merge``, ``rotate``) change the term list while
 leaving the assembled matrix fixed to rounding error; they are the probes
 used to observe that the trace functional does not depend on which term
-list represents an operator.  A rewrite names its new terms by their rows
-in the parent rep (plus, for ``rotate``, the two rotated rows) and goes
-through the constructor's own checks, which gather each stored row once,
-straight from the parent's rows into its sorted position.  A rep stores the
-norm of each of its rows, taken once from the row's own bits, so a rewrite
-gathers its parent's norms and norms only the rows it makes and the rows it
-divides.
+list represents an operator.  ``merge`` joins only exact copies, found by
+``_equal_rows``, the one search for bitwise-equal rows, which the spectrum
+also uses to group shared functionals.  A rewrite names its new terms by
+their rows in the parent rep (plus, for ``rotate``, the two rotated rows)
+and goes through the constructor's own checks, which gather each stored
+row once, straight from the parent's rows into its sorted position.  A rep
+stores the norm of each of its rows, taken once from the row's own bits, so
+a rewrite gathers its parent's norms and norms only the rows it makes and
+the rows it divides.
 """
 
 from __future__ import annotations
@@ -312,59 +314,68 @@ def _split(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
     return _rewritten(rep, mu, take)
 
 
-def _parallel_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
-    """Pairs whose rank-one terms are positively parallel (mergeable).
+def _fingerprint(rows: np.ndarray) -> np.ndarray:
+    """``rows @ w`` for a fixed random ``w``, one einsum per row: the same
+    arithmetic for every row wherever it lies, so equal rows get equal
+    keys (a BLAS product does not promise that)."""
+    return np.einsum("kn,n->k", rows, np.random.default_rng(0).standard_normal(rows.shape[1]))
 
-    A pair is mergeable when (f_i, v_i) = (sign f_j, sign v_j) with a joint
-    sign, so both outer products point the same way.  Each term is
-    sign-canonicalized (the functional's largest entry made positive, the
-    vector flipped along) and the joint rows are sorted lexicographically
-    (stable), so candidates are adjacent.  Adjacent rows ``a, b`` are
-    compared with the ``np.allclose`` test ``|a - b| <= 1e-12 + 1e-9 |b|``,
-    which is elementwise: it runs first on two screening columns (the
-    functional's and the vector's first coordinates) and then on the full
-    rows of the pairs that pass.  Pairs come in sorted order, as
-    ``(smaller index, larger index)``.
+
+def _equal_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of the indices at which every one of ``arrays`` (each of
+    shape ``(k, n)``) holds bitwise-equal rows: the first index of each
+    group, ascending, and the group number of every index.
+
+    The indices are sorted (stably) by their rows' fingerprints.  Only the
+    rows whose fingerprints collide with a neighbour's are gathered; they
+    are sorted by their bytes and compared bit for bit, so a collision of
+    distinct rows (say, two rows apart only in the sign of a zero) neither
+    joins nor splits a group.
     """
-    k, n = len(rep), rep.ambient.dim
-    lead = np.argmax(np.abs(rep.functionals), axis=1)
-    signs = np.sign(rep.functionals[np.arange(k), lead])
+    k = arrays[0].shape[0]
+    keys = [_fingerprint(a) for a in arrays]
+    order = np.lexsort(keys[::-1])
+    tie = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+    collides = np.zeros(k, dtype=bool)
+    collides[order[1:][tie]] = collides[order[:-1][tie]] = True
+    cand = np.flatnonzero(collides)
+    rows = np.concatenate([a[cand] for a in arrays], axis=1)
+    rows = rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0]
+    by_bytes = np.argsort(rows, kind="stable")  # equal rows in ascending index order
+    rows, idx = rows[by_bytes], cand[by_bytes]
+    first = np.ones(idx.shape[0], dtype=bool)  # the first row of its group
+    first[1:] = rows[1:] != rows[:-1]
+    labels = np.arange(k)
+    labels[idx] = idx[first][np.cumsum(first) - 1]  # each row labelled by its group's first
+    heads = np.flatnonzero(labels == np.arange(k))
+    return heads, np.searchsorted(heads, labels)
+
+
+def _duplicate_pairs(rep: NuclearRep) -> list[tuple[int, int]]:
+    """The pairs of terms that ``merge`` may join: exact copies, whose
+    functionals and vectors are both bitwise equal, such as the two halves
+    of a ``split``.
+
+    A group of copies ``i < j < l`` gives the pairs ``(i, j)`` and
+    ``(j, l)``.  Pairs are listed in the lexicographic order of their
+    sign-canonical rows (the functional's largest-modulus entry made
+    positive, the vector flipped along; -0.0 ties with 0.0), then by index.
+    """
+    _, labels = _equal_rows(rep.functionals, rep.vectors)
+    by_group = np.argsort(labels, kind="stable")
+    same = labels[by_group[1:]] == labels[by_group[:-1]]
+    a, b = by_group[:-1][same], by_group[1:][same]
+    f = rep.functionals[a]
+    signs = np.sign(f[np.arange(a.shape[0]), np.argmax(np.abs(f), axis=1)])
     signs[signs == 0] = 1.0
-    canon = np.concatenate([rep.functionals, rep.vectors], axis=1)
-    canon *= signs[:, None]
-    canon += 0.0  # -0.0 becomes 0.0, which the float order ties it with
-    # Each float as a 64-bit key whose unsigned value has the same order
-    # (negatives: all bits flipped; the rest: the sign bit set), stored
-    # big-endian: one stable byte-string sort of the rows is the
-    # column-by-column lexicographic sort.
-    bits = canon.view(np.int64)
-    keys = bits >> 63  # -1 on negatives, else 0
-    keys |= np.int64(-1 << 63)
-    keys ^= bits
-    keys.byteswap(inplace=True)
-    order = np.argsort(keys.view(f"S{keys.shape[1] * 8}")[:, 0], kind="stable")
-    a, b = _close_rows(canon[:, [0, n]], order[:-1], order[1:])
-    a, b = _close_rows(canon, a, b)
-    return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-
-
-def _close_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """The index pairs ``(a, b)`` whose rows pass ``|a - b| <= 1e-12 + 1e-9 |b|``."""
-    rb = rows[b]
-    gap = rows[a]
-    gap -= rb
-    np.abs(gap, out=gap)
-    np.abs(rb, out=rb)
-    rb *= 1e-9
-    rb += 1e-12
-    close = (gap <= rb).all(axis=1)
-    return a[close], b[close]
+    canon = np.concatenate([f, rep.vectors[a]], axis=1) * signs[:, None]
+    return [(i, j) for _, i, j in sorted(zip(canon.tolist(), a.tolist(), b.tolist()))]
 
 
 def _merge(rep: NuclearRep, rng: np.random.Generator) -> NuclearRep:
-    pairs = _parallel_pairs(rep)
+    pairs = _duplicate_pairs(rep)
     if not pairs:
-        raise SchemeNotApplicableError("merge needs two parallel-compatible terms")
+        raise SchemeNotApplicableError("merge needs two terms that are exact copies")
     i, j = pairs[int(rng.integers(len(pairs)))]
     take = np.concatenate(([i], np.delete(np.arange(len(rep)), [i, j])))
     mu = rep.mu[take]
@@ -424,9 +435,10 @@ def rotate_pair(rep: NuclearRep, i: int, j: int, theta: float) -> NuclearRep:
 def rewrite_equivalent(rep: NuclearRep, scheme: str, seed: int) -> NuclearRep:
     """Return a different term list assembling to the same matrix.
 
-    ``split`` halves one term into two copies, ``merge`` inverts a split on
-    a parallel-compatible pair, ``rotate`` applies the joint plane rotation
-    of :func:`rotate_pair` to a random pair.  Deterministic in (rep, scheme,
+    ``split`` halves one term into two copies, ``merge`` inverts a split:
+    it joins two exact copies (functionals and vectors bitwise equal) into
+    one term, ``rotate`` applies the joint plane rotation of
+    :func:`rotate_pair` to a random pair.  Deterministic in (rep, scheme,
     seed).
     """
     if scheme not in _REWRITE_SCHEMES:

@@ -4,8 +4,9 @@ The eigensolver contract is a full backward-stable dense spectrum with
 algebraic multiplicities; the LAPACK solver behind ``numpy.linalg`` meets
 it.  A rep with ``k`` terms on an ``n``-dimensional truncation is solved on
 the smaller of two matrices.  Terms sharing a bitwise-identical functional
-collapse, ``sum_{k in h} mu_k f_h (x) v_k = f_h (x) w_h``, into ``r <= k``
-groups (in order of first appearance).  When ``r >= n`` the assembled
+(found by ``nuclear._equal_rows``) collapse,
+``sum_{k in h} mu_k f_h (x) v_k = f_h (x) w_h``, into ``r <= k`` groups (in
+order of first appearance).  When ``r >= n`` the assembled
 ``n x n`` matrix is solved.  When ``r < n`` it is the ``r x r`` coefficient
 matrix ``M_gh = <f_g, w_h> = sum_{k in h} mu_k <f_g, v_k>``, whose nonzero
 eigenvalues are those of ``T = sum_h w_h f_h^T`` with algebraic multiplicity
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nuclear import NuclearRep, assemble, nuclear_trace
+from .nuclear import NuclearRep, _equal_rows, assemble, nuclear_trace
 from .seqspace import DenseOperator, lp
 
 __all__ = [
@@ -92,36 +93,11 @@ class SpectralReport:
         }
 
 
-def _distinct_functionals(fun: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each group of bitwise-identical rows of ``fun``: the index of its first
-    row, in order of appearance, and the group number of every row.
-
-    Only rows whose fingerprints ``fun @ w`` (an einsum, the same arithmetic
-    for every row, with a fixed random ``w``) collide are compared byte for
-    byte.  A group the fingerprints split would cost solve size, not
-    correctness.
-    """
-    k = fun.shape[0]
-    key = np.einsum("kn,n->k", fun, np.random.default_rng(0).standard_normal(fun.shape[1]))
-    order = np.argsort(key, kind="stable")
-    cand = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-    bits = fun.view(np.uint64)
-    joins = np.zeros(k, dtype=bool)  # sorted row i is in the group of sorted row i - 1
-    joins[cand + 1] = (bits[order[cand]] == bits[order[cand + 1]]).all(axis=1)
-    group = np.cumsum(~joins) - 1
-    # a stable sort puts each group's first row first
-    heads = order[~joins]
-    rank = np.argsort(heads)
-    labels = np.empty(k, dtype=np.intp)
-    labels[order] = np.argsort(rank)[group]
-    return heads[rank], labels
-
-
 def _spectrum(rep: NuclearRep) -> tuple[np.ndarray, np.ndarray]:
     """The rep's ``n`` eigenvalues in report order, and the matrix that was
     solved (see the module docstring for which one)."""
     n, k = rep.ambient.dim, len(rep)
-    heads, labels = _distinct_functionals(rep.functionals)
+    heads, labels = _equal_rows(rep.functionals)
     r = heads.shape[0]
     if r >= n:
         op = assemble(rep)

@@ -27,7 +27,7 @@ from nuctrace import (
     run_ladder_suite,
     summing_certificates,
 )
-from nuctrace.nuclear import rotate_pair
+from nuctrace.nuclear import _duplicate_pairs, rotate_pair
 
 from conftest import chain_rows, make_rng, random_rep, traced_peak
 
@@ -250,8 +250,8 @@ class TestMemory:
     (0.5 n^2 doubles at n = 256) and, for ``random_unit``, the 64 KiB buffer
     it draws through; a loaded rep keeps the loader's arrays.  A rewrite
     gathers its rep's two arrays straight from its parent's rows and holds
-    little else (merge first sorts the parent's rows in
-    ``_parallel_pairs``); a rep norms the rows it divides in gathered
+    little else (merge's search for copies gathers only the rows whose
+    fingerprints collide); a rep norms the rows it divides in gathered
     blocks of at most 32 KiB, each with a scratch of its size.  A
     pipeline holds ``compose``'s k x n scaled rows above the rep it shares
     A and B with, and forms its target block by block from the rows it
@@ -388,13 +388,22 @@ class TestMemory:
         assert peak <= 2.31 * n * n * 8
 
     def test_merge_peak(self):
-        # 4.06 n^2 doubles: _parallel_pairs' k x 2n sign-canonical rows and
-        # their sort keys; the new rep's two arrays come after they are freed
+        # 2.06 n^2 doubles: the new rep's two arrays, as for split; the
+        # search for copies comes before them and holds little
         n = self.N
         parent = rewrite_equivalent(self.rotation_family(), "split", 5)
         out, peak = self.rewrite_peak(lambda rep: rewrite_equivalent(rep, "merge", 5), parent)
         assert len(out) == n
-        assert peak <= 4.31 * n * n * 8
+        assert peak <= 2.31 * n * n * 8
+
+    def test_merge_search_peak(self):
+        # 0.05 n^2 doubles: two fingerprints of k keys and the few rows
+        # whose fingerprints collide
+        n = self.N
+        parent = rewrite_equivalent(self.rotation_family(), "split", 5)
+        pairs, peak = self.rewrite_peak(_duplicate_pairs, parent)
+        assert len(pairs) == 1
+        assert peak <= 0.25 * n * n * 8
 
     def test_rotate_pair_peak_p3_2(self):
         # 2.29 n^2 doubles: the parent's rows keep their stored norms, and

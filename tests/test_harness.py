@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from nuctrace import (
 )
 
 from conftest import make_rng
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(tmp_path, **overrides):
@@ -358,6 +361,20 @@ def test_diagonal_gaps_are_computed_once_per_suite(tmp_path):
     assert len(report.cases) == 9 and report.failed == 0
     info = harness._diagonal_gaps.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+
+
+def test_acceptance_trace_suite_keeps_its_bits(tmp_path, monkeypatch):
+    # each case's trace and max_drift, as recorded before merge took only
+    # exact copies; a merge that picks another pair moves max_drift's last
+    # bits (residual rests on LAPACK and is left out)
+    searches = []
+    real = nuclear._duplicate_pairs
+    monkeypatch.setattr(nuclear, "_duplicate_pairs", lambda rep: searches.append(1) or real(rep))
+    config = config_from_json(json.loads((CONFIGS / "acceptance_suite.json").read_text()))
+    report = run_trace_suite(dataclasses.replace(config, out_dir=str(tmp_path)))
+    recorded = json.loads((Path(__file__).parent / "acceptance_trace_bits.json").read_text())
+    assert [[c["trace"].hex(), c["max_drift"].hex()] for c in report.cases] == recorded
+    assert len(searches) == 256
 
 
 class TestDeterminismAndParallelism:

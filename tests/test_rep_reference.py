@@ -4,7 +4,8 @@ spectral report against the assembled-matrix eigensolve it replaced.
 
 The reference functions below are the original implementations (a Python
 loop over terms, one ``one_row_norm`` per vector; k x k ``np.diag`` stages
-multiplied by matmul; ``eigen_spectrum(assemble(rep))`` for every rep); the
+multiplied by matmul; ``eigen_spectrum(assemble(rep))`` for every rep) or,
+for ``merge``'s exact copies, a loop over all pairs of terms; the
 library must agree with them bit for bit, so every comparison is ``np.array_equal``
 or ``==``.  The one exception is the spectrum of a rep with fewer distinct
 functionals than dimensions, which is now solved on a smaller matrix and is
@@ -31,6 +32,7 @@ from nuctrace import (
     eigen_spectrum,
     generate_family,
     lp,
+    nuclear,
     nuclear_trace,
     rewrite_equivalent,
     row_norms,
@@ -38,7 +40,7 @@ from nuctrace import (
 )
 from nuctrace.exponents import s_from_p
 from nuctrace.harness import DecayProfile, ExperimentConfig, _decay_weights
-from nuctrace.nuclear import MU_FLOOR, _generator, _merge, _parallel_pairs, _split, rotate_pair
+from nuctrace.nuclear import MU_FLOOR, _duplicate_pairs, _generator, _merge, _split, rotate_pair
 from nuctrace.seqspace import c0, linf
 from nuctrace.spectra import RESIDUAL_BUDGET, _sort_spectrum
 
@@ -105,24 +107,30 @@ def ref_split(rep, rng):
     return terms
 
 
-def ref_parallel_pairs(rep):
+def ref_duplicate_pairs(rep):
+    """Each term paired with its next exact copy (functional and vector
+    bitwise equal), in the stable lexicographic order of the terms'
+    sign-canonical rows."""
     k = len(rep)
     if k < 2:
         return []
+    bits = [np.concatenate([f, v]).view(np.uint64) for f, v in zip(rep.functionals, rep.vectors)]
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.array_equal(bits[i], bits[j]):
+                pairs.append((i, j))
+                break
     lead = np.argmax(np.abs(rep.functionals), axis=1)
     signs = np.sign(rep.functionals[np.arange(k), lead])
     signs[signs == 0] = 1.0
     canon = np.concatenate([rep.functionals, rep.vectors], axis=1) * signs[:, None]
-    order = np.lexsort(canon.T[::-1])
-    pairs = []
-    for a, b in zip(order, order[1:]):
-        if np.allclose(canon[a], canon[b], rtol=1e-9, atol=1e-12):
-            pairs.append((int(min(a, b)), int(max(a, b))))
-    return pairs
+    rank = np.argsort(np.lexsort(canon.T[::-1]))
+    return sorted(pairs, key=lambda pair: rank[pair[0]])
 
 
 def ref_merge(rep, rng):
-    pairs = ref_parallel_pairs(rep)
+    pairs = ref_duplicate_pairs(rep)
     i, j = pairs[int(rng.integers(len(pairs)))]
     terms = rep.raw_terms()
     mu_i, f_i, v_i = terms[i]
@@ -355,7 +363,7 @@ def test_rewrites_match_list_based_reference(p):
     for step in range(30):
         scheme = ("split", "merge", "rotate")[step % 3]
         seed = int(rng.integers(2**63))
-        if scheme == "merge" and not ref_parallel_pairs(ref):
+        if scheme == "merge" and not ref_duplicate_pairs(ref):
             continue
         rep = rewrite_equivalent(rep, scheme, seed)
         ref = RefRep(ref.ambient, REF_SCHEMES[scheme](ref, _generator(seed)))
@@ -374,21 +382,27 @@ def test_quarter_pi_rotation_of_shared_pair(p):
     assert len(out) == len(rep) - 1
 
 
+def is_copy(rep, i, j):
+    """Terms ``i`` and ``j`` have bitwise-equal functionals and vectors."""
+    return (rep.functionals[i].tobytes() == rep.functionals[j].tobytes()
+            and rep.vectors[i].tobytes() == rep.vectors[j].tobytes())
+
+
 def test_parallel_pairs_match_reference():
     rng = make_rng(205)
     for p in EXPONENTS:
         rep = NuclearRep(lp(p, 12), *shared_arrays(rng, 12, 4))
         for seed in range(6):
             rep = rewrite_equivalent(rep, "split", seed)
-        # a sign-flipped copy of term 0 is parallel to it as well
+        # a sign-flipped copy of term 0 is parallel to it, but not a copy
         rep = NuclearRep(
             rep.ambient,
             np.append(rep.mu, rep.mu[0] / 3),
             np.vstack([rep.functionals, -rep.functionals[0]]),
             np.vstack([rep.vectors, -rep.vectors[0]]),
         )
-        # e_0 + e_2 / 2 with its zeros signed either way (lexsort ties -0.0
-        # with 0.0), a sign-flipped copy and exact duplicates
+        # e_0 + e_2 / 2 with its zeros signed either way, a sign-flipped
+        # copy and three exact copies
         f = np.zeros(12)
         f[[0, 2]] = 1.0, 0.5
         v = np.zeros(12)
@@ -396,17 +410,24 @@ def test_parallel_pairs_match_reference():
         signed = lambda x: np.where(x == 0, -0.0, x)
         rep = NuclearRep(
             rep.ambient,
-            np.concatenate([rep.mu, [0.3, 0.3, 0.2, 0.3, 0.3]]),
-            np.vstack([rep.functionals, f, signed(f), -f, signed(f), f]),
-            np.vstack([rep.vectors, v, v, -v, signed(v), v]),
+            np.concatenate([rep.mu, [0.3, 0.3, 0.2, 0.3, 0.3, 0.3]]),
+            np.vstack([rep.functionals, f, signed(f), -f, signed(f), f, f]),
+            np.vstack([rep.vectors, v, v, -v, signed(v), v, v]),
         )
-        pairs = _parallel_pairs(rep)
-        assert len(pairs) >= 11
-        assert pairs == ref_parallel_pairs(rep)
-        # with one row or none there is no adjacent pair to screen
+        pairs = _duplicate_pairs(rep)
+        assert pairs == ref_duplicate_pairs(rep)
+        # one pair per split and two of the three copies; the sign-flipped
+        # and signed-zero copies pair with nothing
+        assert len(pairs) == 8
+        assert all(is_copy(rep, i, j) for i, j in pairs)
+        i, j, l = [t for t in range(len(rep)) if np.count_nonzero(rep.functionals[t]) == 2
+                   and not np.signbit(rep.functionals[t]).any()
+                   and not np.signbit(np.delete(rep.vectors[t], 1)).any()]
+        assert (i, j) in pairs and (j, l) in pairs and (i, l) not in pairs
+        # with one row or none there is no pair
         for k in (0, 1):
             short = NuclearRep(rep.ambient, rep.mu[:k], rep.functionals[:k], rep.vectors[:k])
-            assert _parallel_pairs(short) == ref_parallel_pairs(short) == []
+            assert _duplicate_pairs(short) == ref_duplicate_pairs(short) == []
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
@@ -550,7 +571,7 @@ def test_rewrites_gather_the_listed_terms(p, n, k, rotations, seed):
         assert len(out) == len(parent) + (-1 if light else 1)
     split = _split(parent, Pick(0))
     split_terms = list(zip(split.mu, split.functionals, split.vectors))
-    pairs = _parallel_pairs(split)
+    pairs = _duplicate_pairs(split)
     assert pairs
     for q, (i, j) in enumerate(pairs):
         merged = (split.mu[i] + split.mu[j], split.functionals[i], split.vectors[i])
@@ -615,9 +636,11 @@ def boundary_gap():
     return a, b, beyond
 
 
-def test_parallel_pairs_on_adversarial_rows():
-    # at p = 1 the functionals are normed in linf: rows led by 1.0 keep every
-    # coordinate bit for bit; the vectors are dyadic with l1 norm exactly 1
+def adversarial_groups():
+    """Named pairs of ``(f, v)`` terms at ``p = 1``, close to or exactly
+    copies of each other.  The functionals are normed in linf: rows led by
+    1.0 keep every coordinate bit for bit; the vectors are dyadic with l1
+    norm exactly 1."""
     n = 8
     base = np.array([1.0, 0.3, -0.2, 0.1, 0.0, 0.5, -0.7, 0.25])
     v = np.array([0.5, -0.25, 0.0, 0.125, 0.0, 0.0, 0.125, 0.0])
@@ -625,30 +648,31 @@ def test_parallel_pairs_on_adversarial_rows():
 
     def group(name, f_a, v_a, f_b, v_b, offset):
         shift = np.zeros(n)
-        shift[1] = offset  # keeps the groups apart in the sort
+        shift[1] = offset  # keeps the groups apart
         groups[name] = [(f_a + shift, v_a), (f_b + shift, v_b)]
 
-    # equal on both screening columns, outside the tolerance later on
+    # equal on the first coordinate of both sides, far apart elsewhere
     far_f, far_v = base.copy(), v.copy()
     far_f[5] += 1e-6
     far_v[[3, 5]] = 0.0625
     group("screen_only_f", base, v, far_f, v, 0.0)
     group("screen_only_v", base, v, base, far_v, -0.05)
-    # inside the tolerance, not bitwise equal: relative 5e-10 on the screening
-    # vector coordinate, spread over the whole vector by its l1 norm
+    # close, not bitwise equal: relative 5e-10 on the first vector
+    # coordinate, spread over the whole vector by its l1 norm
     near_v = v.copy()
     near_v[0] *= 1 + 5e-10
     group("near", base, v, base, near_v, 0.1)
     near_f = base.copy()
     near_f[6] *= 1 + 5e-10
     group("near_f", base, v, near_f, v, 0.15)
-    # exactly on the boundary, and just beyond it
+    # exactly on the old 1e-12 + 1e-9 |b| boundary, and just beyond it
     a, b, beyond = boundary_gap()
     on_a, on_b, off_a = base.copy(), base.copy(), base.copy()
     on_a[4], on_b[4], off_a[4] = a, b, beyond
     group("on_boundary", on_a, v, on_b, v, 0.2)
     group("off_boundary", off_a, v, on_b, v, 0.25)
-    # +-0.0 on both screening columns, one copy sign-flipped as a whole
+    # +-0.0 on the first coordinate of both sides, one copy sign-flipped
+    # as a whole
     zf, zv = base.copy(), v.copy()
     zf[[0, 2]] = 0.0, 1.0
     zv[[0, 2]] = 0.0, 0.5
@@ -656,22 +680,54 @@ def test_parallel_pairs_on_adversarial_rows():
     group("signed_zeros", zf, zv, signed(zf), signed(zv), -0.1)
     zf[1] -= 0.15
     group("flipped_zeros", zf, signed(zv), -zf, -zv, 0.0)
+    group("exact", base, v, base.copy(), v.copy(), 0.3)
+    return groups
 
+
+def test_parallel_pairs_on_adversarial_rows():
+    groups = adversarial_groups()
     rows = [row for pair in groups.values() for row in pair]
     funs, vecs = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-    rep = NuclearRep(lp(1, n), np.linspace(1.0, 0.5, len(rows)), funs, vecs)
+    rep = NuclearRep(lp(1, funs.shape[1]), np.linspace(1.0, 0.5, len(rows)), funs, vecs)
     assert np.array_equal(rep.functionals, funs)
     near = 2 * list(groups).index("near") + 1  # renormalized by 1 + 2.5e-10
     kept = np.arange(len(rows)) != near
     assert np.array_equal(rep.vectors[kept], vecs[kept])
     assert not np.array_equal(rep.vectors[near], rep.vectors[near - 1])
-    pairs = _parallel_pairs(rep)
-    assert pairs == ref_parallel_pairs(rep)
+    pairs = _duplicate_pairs(rep)
+    assert pairs == ref_duplicate_pairs(rep)
+    # only the exact copies merge: not the near, boundary, signed-zero or
+    # sign-flipped pairs
     found = {name for pos, name in enumerate(groups) if (2 * pos, 2 * pos + 1) in pairs}
-    assert found == {"near", "near_f", "on_boundary", "signed_zeros", "flipped_zeros"}
+    assert found == {"exact"}
     assert len(pairs) == len(found)
     adj = adjoint_rep(rep)
-    assert _parallel_pairs(adj) == ref_parallel_pairs(adj)
+    assert _duplicate_pairs(adj) == ref_duplicate_pairs(adj)
+
+
+def test_fingerprint_collisions_pair_only_copies(monkeypatch):
+    # every fingerprint equal: all rows are candidates, and the copies of
+    # the first signed-zero term lie apart, with its signed twin between
+    groups = adversarial_groups()
+    rows = [row for pair in groups.values() for row in pair] + [groups["signed_zeros"][0]]
+    funs, vecs = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    rep = NuclearRep(lp(1, funs.shape[1]), np.linspace(1.0, 0.5, len(rows)), funs, vecs)
+    expected = _duplicate_pairs(rep)
+    monkeypatch.setattr(nuclear, "_fingerprint", lambda rows: np.zeros(rows.shape[0]))
+    pairs = _duplicate_pairs(rep)
+    assert pairs == expected == ref_duplicate_pairs(rep)
+    signed = 2 * list(groups).index("signed_zeros")
+    exact = 2 * list(groups).index("exact")
+    assert sorted(pairs) == [(signed, len(rows) - 1), (exact, exact + 1)]
+    # the spectrum's groups of functionals: bitwise-equal rows, numbered in
+    # order of first appearance
+    heads, labels = nuclear._equal_rows(rep.functionals)
+    first = {}
+    for t, row in enumerate(rep.functionals):
+        first.setdefault(row.tobytes(), t)
+    assert heads.tolist() == sorted(first.values())
+    assert labels.tolist() == [heads.tolist().index(first[row.tobytes()])
+                               for row in rep.functionals]
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
@@ -680,9 +736,9 @@ def test_parallel_pairs_after_many_splits(p):
     rep = NuclearRep(lp(p, 128), *shared_arrays(rng, 128, 20))
     for seed in range(24):
         rep = rewrite_equivalent(rep, "split", seed)
-    pairs = _parallel_pairs(rep)
+    pairs = _duplicate_pairs(rep)
     assert len(pairs) == 24  # each split adds one duplicate, shared pairs differ in v
-    assert pairs == ref_parallel_pairs(rep)
+    assert pairs == ref_duplicate_pairs(rep)
 
 
 def ref_family(config, n):

@@ -14,6 +14,7 @@ from nuctrace import (
     generate_family,
     ladder_csv,
     lp,
+    nuclear,
     quasi_norm_value,
     s_from_p,
     spectra,
@@ -138,7 +139,7 @@ class TestSpectralReport:
         ids=["no_shared_row", "all_rows_shared", "no_rows"],
     )
     def test_distinct_functionals(self, fun, heads, labels):
-        got_heads, got_labels = spectra._distinct_functionals(fun)
+        got_heads, got_labels = nuclear._equal_rows(fun)
         for got, expected in ((got_heads, heads), (got_labels, labels)):
             assert got.dtype == np.intp
             assert got.tolist() == expected
